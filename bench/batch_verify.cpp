@@ -6,14 +6,15 @@
 // activated behind assumption selectors, renaming duplicates deduped —
 // against the sequential oracle that verifies each candidate from scratch.
 //
-// The batch path's verdict stream must be bit-identical to the sequential
-// one; this binary exits nonzero on any divergence, so CI can run it in
-// `--tiny` mode as a cheap differential gate. Reported in EXPERIMENTS.md.
+// The group verifier's verdict stream must be bit-identical to the
+// sequential one; this binary exits nonzero on any divergence, so CI can
+// run it in `--tiny` mode as a cheap differential gate. Reported in
+// EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "verify/BatchVerifier.h"
+#include "verify/Ladder.h"
 
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -122,7 +123,7 @@ int main(int Argc, char **Argv) {
   DO.Seed = 2026;
   Dataset DS = buildDataset(DO);
 
-  RobustVerifyOptions RVO;
+  LadderOptions RVO;
   RVO.Base = PipelineOptions::trainVerifyDefaults();
   RVO.MaxTiers = 3;
   RVO.BudgetGrowth = 4;
@@ -134,15 +135,15 @@ int main(int Argc, char **Argv) {
               "%u-tier ladder\n\n",
               DS.Train.size(), 8u, RVO.MaxTiers);
 
-  // Sequential oracle: what the scoring path runs with batching off — a
-  // cold fresh verification per candidate.
+  // Sequential oracle: the fresh-encoding ladder front door — a cold
+  // fresh verification per candidate.
   std::vector<std::vector<VerdictKey>> SeqVerdicts(Groups.size());
   double SeqMs = wallMs([&] {
     for (size_t I = 0; I < Groups.size(); ++I) {
       const Sample &S = DS.Train[I];
-      RobustVerifier RV(RVO);
       for (const std::string &T : Groups[I])
-        SeqVerdicts[I].push_back(keyOf(RV.verify(S.SrcText, *S.source(), T).Result));
+        SeqVerdicts[I].push_back(
+            keyOf(verifyWithLadder(RVO, S.SrcText, *S.source(), T).Result));
     }
   });
 
@@ -164,14 +165,20 @@ int main(int Argc, char **Argv) {
       for (size_t I = 0; I < Groups.size(); ++I) {
         const Sample &S = DS.Train[I];
         VerifyCache Cache(1024); // cold per group, like the oracle
-        BatchVerifier::Options BO;
-        BO.Robust = RVO;
-        BO.Pool = Threads > 1 ? &Pool : nullptr;
-        BO.Threads = Threads;
-        BatchVerifier BV(BO, &Cache);
-        for (const VerifyResult &R :
-             BV.verifyGroup(S.SrcText, *S.source(), Groups[I]))
-          Out[I].push_back(keyOf(R));
+        LadderOptions L = RVO;
+        L.Cache = &Cache;
+        // Each candidate text is parsed once, as in the trainer.
+        std::vector<Candidate> Parsed;
+        Parsed.reserve(Groups[I].size());
+        std::vector<const Candidate *> Cands;
+        for (const std::string &T : Groups[I]) {
+          Parsed.emplace_back(T);
+          Cands.push_back(&Parsed.back());
+        }
+        for (const LadderOutcome &R :
+             verifyGroup(L, S.SrcText, *S.source(), Cands,
+                         Threads > 1 ? &Pool : nullptr))
+          Out[I].push_back(keyOf(R.Result));
       }
     });
   };

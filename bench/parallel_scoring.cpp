@@ -1,15 +1,17 @@
-//===- parallel_scoring.cpp - Rollout-scoring hot-path bench ---------------===//
+//===- parallel_scoring.cpp - GRPO verify + score hot-path bench ---------===//
 //
-// Measures the tentpole of the parallel-scoring PR: GRPO rollout scoring
-// (the verification-dominated hot path of runTrainingPipeline) serial vs.
-// threaded vs. memoized, and checks the determinism guarantee — identical
-// reward trajectories across all configurations. Reported in EXPERIMENTS.md.
+// Measures the verification-dominated hot path of runTrainingPipeline —
+// group verification of each prompt's rollouts, then reward scoring —
+// serial vs. threaded vs. memoized, and checks the determinism guarantee:
+// identical reward trajectories across all configurations. Reported in
+// EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "verify/VerifyCache.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -21,7 +23,7 @@ namespace {
 
 struct RunResult {
   std::vector<TrainLogEntry> Logs;
-  double ScoreWallMs = 0;
+  double TrainWallMs = 0; ///< verification + scoring + update, all steps
   VerifyCache::Counters Cache;
   unsigned FalsifyWins = 0;
   uint64_t SolverConflicts = 0;
@@ -35,16 +37,20 @@ RunResult run(const Dataset &DS, unsigned Threads, size_t CacheCapacity,
   if (CacheCapacity)
     Cache = std::make_unique<VerifyCache>(CacheCapacity);
 
-  VerifyOptions V = PipelineOptions::trainVerifyDefaults();
   GRPOOptions G;
   G.Seed = 7;
   G.Threads = Threads;
-  G.Cache = Cache.get();
-  GRPOTrainer Trainer(Model, makeAnswerReward(V, Cache.get()), G);
+  G.Verify.Base = PipelineOptions::trainVerifyDefaults();
+  G.Verify.MaxTiers = 1;
+  G.Verify.Cache = Cache.get();
+  GRPOTrainer Trainer(Model, makeAnswerReward(), G);
+  auto T0 = std::chrono::steady_clock::now();
   Out.Logs = Trainer.train(DS.Train, Steps);
+  Out.TrainWallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - T0)
+                        .count();
 
   for (const TrainLogEntry &E : Out.Logs) {
-    Out.ScoreWallMs += E.ScoreWallMs;
     Out.FalsifyWins += E.FalsifyWins;
     Out.SolverConflicts += E.SolverConflicts;
   }
@@ -68,7 +74,7 @@ bool sameTrajectory(const RunResult &A, const RunResult &B) {
 void row(const char *Name, const RunResult &R, double BaselineMs) {
   std::printf("%-28s %9.1f ms   %5.2fx   hit-rate %5.1f%%   falsify-wins "
               "%4u   conflicts %8llu\n",
-              Name, R.ScoreWallMs, BaselineMs / R.ScoreWallMs,
+              Name, R.TrainWallMs, BaselineMs / R.TrainWallMs,
               100.0 * R.Cache.hitRate(), R.FalsifyWins,
               static_cast<unsigned long long>(R.SolverConflicts));
 }
@@ -81,8 +87,9 @@ int main(int Argc, char **Argv) {
   // BENCH json must reproduce bit-for-bit across machines.
   const bool Tiny = Argc > 1 && std::strcmp(Argv[1], "--tiny") == 0;
 
-  header("Rollout-scoring wall clock: serial vs. threads vs. verify cache",
-         "the PR-1 tentpole; not a paper figure");
+  header("GRPO verify + score wall clock: serial vs. threads vs. verify "
+         "cache",
+         "the parallel-scoring tentpole; not a paper figure");
 
   DatasetOptions D;
   D.TrainCount = Tiny ? 4 : 16 * scale();
@@ -98,10 +105,10 @@ int main(int Argc, char **Argv) {
   RunResult Threaded = run(DS, /*Threads=*/4, /*CacheCapacity=*/0, Steps);
   RunResult Both = run(DS, /*Threads=*/4, /*CacheCapacity=*/4096, Steps);
 
-  row("serial, no cache", Serial, Serial.ScoreWallMs);
-  row("serial + cache", Cached, Serial.ScoreWallMs);
-  row("4 threads, no cache", Threaded, Serial.ScoreWallMs);
-  row("4 threads + cache", Both, Serial.ScoreWallMs);
+  row("serial, no cache", Serial, Serial.TrainWallMs);
+  row("serial + cache", Cached, Serial.TrainWallMs);
+  row("4 threads, no cache", Threaded, Serial.TrainWallMs);
+  row("4 threads + cache", Both, Serial.TrainWallMs);
 
   bool Det = sameTrajectory(Serial, Cached) &&
              sameTrajectory(Serial, Threaded) && sameTrajectory(Serial, Both);
@@ -112,9 +119,9 @@ int main(int Argc, char **Argv) {
   // Headline numbers, published into the shared BENCH_*.json schema.
   MetricsRegistry &M = MetricsRegistry::global();
   auto publish = [&](const char *Key, const RunResult &R) {
-    M.gauge(std::string("bench.score_wall_ms.") + Key).set(R.ScoreWallMs);
+    M.gauge(std::string("bench.train_wall_ms.") + Key).set(R.TrainWallMs);
     M.gauge(std::string("bench.speedup.") + Key)
-        .set(Serial.ScoreWallMs / R.ScoreWallMs);
+        .set(Serial.TrainWallMs / R.TrainWallMs);
     M.gauge(std::string("bench.cache_hit_rate.") + Key).set(R.Cache.hitRate());
   };
   publish("serial", Serial);

@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "verify/RobustVerifier.h"
+#include "verify/Ladder.h"
 
 #include "ir/Parser.h"
 
@@ -88,30 +88,30 @@ struct LadderStats {
   uint64_t Fuel = 0;
 };
 
-LadderStats runLadder(const std::vector<HardCase> &Set, unsigned MaxTiers,
+LadderStats runConfig(const std::vector<HardCase> &Set, unsigned MaxTiers,
                       uint64_t Growth) {
-  RobustVerifyOptions O;
+  LadderOptions O;
   O.Base.FalsifyTrials = 0;        // force the SMT path
   O.Base.SolverConflictBudget = 60; // deliberately starved tier 0
   O.Base.FuelBudget = 3000;
   O.MaxTiers = MaxTiers;
   O.BudgetGrowth = Growth;
-  RobustVerifier RV(O);
 
   LadderStats S;
   for (const HardCase &C : Set) {
     auto M = parseModule(C.Src);
-    auto Out = RV.verify(C.Src, *M.value()->getMainFunction(), C.Tgt);
+    auto Out =
+        verifyWithLadder(O, C.Src, *M.value()->getMainFunction(), C.Tgt);
+    bool Terminal = LadderOptions::retryable(Out.Result);
     if (Out.Result.Status == VerifyStatus::Equivalent ||
         Out.Result.Status == VerifyStatus::NotEquivalent)
       ++S.Definitive;
+    S.TerminalInconclusive += Terminal;
+    S.Escalated += Out.Escalated;
+    S.Rescued += Out.Escalated && !Terminal;
     S.Conflicts += Out.Result.SolverConflicts;
     S.Fuel += Out.Result.FuelSpent;
   }
-  auto C = RV.counters();
-  S.TerminalInconclusive = static_cast<unsigned>(C.TerminalInconclusive);
-  S.Escalated = static_cast<unsigned>(C.Escalations);
-  S.Rescued = static_cast<unsigned>(C.Rescued);
   return S;
 }
 
@@ -134,9 +134,9 @@ int main() {
               " growth 16x per tier\n\n",
               Set.size());
 
-  LadderStats T1 = runLadder(Set, /*MaxTiers=*/1, /*Growth=*/16);
-  LadderStats T2 = runLadder(Set, /*MaxTiers=*/2, /*Growth=*/16);
-  LadderStats T3 = runLadder(Set, /*MaxTiers=*/3, /*Growth=*/16);
+  LadderStats T1 = runConfig(Set, /*MaxTiers=*/1, /*Growth=*/16);
+  LadderStats T2 = runConfig(Set, /*MaxTiers=*/2, /*Growth=*/16);
+  LadderStats T3 = runConfig(Set, /*MaxTiers=*/3, /*Growth=*/16);
 
   row("1 tier (no retries)", T1, Set.size());
   row("2 tiers", T2, Set.size());

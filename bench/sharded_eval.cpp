@@ -5,8 +5,8 @@
 //
 //  1. Differential gate: evaluateModelSharded() must be bit-identical to
 //     the serial oracle evaluateModel() at every shard/thread configuration,
-//     with BatchVerify on or off, and every shard must survive a JSON
-//     round-trip and still merge to the oracle. Exits nonzero on any
+//     as must the plain-verifier shard arm, and every shard must survive a
+//     JSON round-trip and still merge to the oracle. Exits nonzero on any
 //     divergence, so CI runs `--tiny` as a cheap correctness gate.
 //
 //  2. Wall clock on the standard workload: evaluation is not a single pass
@@ -94,7 +94,6 @@ int main(int Argc, char **Argv) {
     EvalOptions EO;
     EO.Shards = 2 * Threads;
     EO.Pool = &Pool;
-    EO.BatchVerify = true;
     EO.SharedCache = &Shared;
     ShardedMs = wallMs([&] {
       for (unsigned E = 0; E < Evals; ++E) {
@@ -113,26 +112,37 @@ int main(int Argc, char **Argv) {
               Evals, ShardedMs, Speedup, Divergent ? "  DIVERGED" : "");
 
   // Differential sweep (untimed): single cold evaluations across shard
-  // counts and thread counts, batch verification on and off.
+  // counts and thread counts, through evaluation's group verifier and
+  // through the plain-verifier shard arm.
   struct Config {
     const char *Label;
     unsigned Shards, Threads;
-    bool Batch;
+    bool Plain;
   };
   const std::vector<Config> Configs = {
-      {"1 shard, 1 thread", 1, 1, true},
-      {"3 shards, 1 thread", 3, 1, true},
-      {"8 shards, 4 threads", 8, 4, true},
-      {"8 shards, 4 threads, no batch", 8, 4, false},
+      {"1 shard, 1 thread", 1, 1, false},
+      {"3 shards, 1 thread", 3, 1, false},
+      {"8 shards, 4 threads", 8, 4, false},
+      {"8 shards, 4 threads, plain", 8, 4, true},
   };
   for (const Config &C : Configs) {
     ThreadPool Pool(C.Threads);
-    EvalOptions EO;
-    EO.Shards = C.Shards;
-    EO.Pool = &Pool;
-    EO.BatchVerify = C.Batch;
-    EvalResult R = evaluateModelSharded(Base, DS.Valid, PromptMode::Generic,
-                                        VerifyOptions(), EO);
+    EvalResult R;
+    if (C.Plain) {
+      auto Plan = planEvalShards(DS.Valid.size(), C.Shards, 0xE7A1);
+      std::vector<ShardEvalResult> Shards(Plan.size());
+      Pool.parallelFor(Plan.size(), [&](size_t I) {
+        Shards[I] = evaluateEvalShard(Base, DS.Valid, PromptMode::Generic,
+                                      VerifyOptions(), Plan[I]);
+      });
+      R = mergeShardResults(Base.config().Name, std::move(Shards));
+    } else {
+      EvalOptions EO;
+      EO.Shards = C.Shards;
+      EO.Pool = &Pool;
+      R = evaluateModelSharded(Base, DS.Valid, PromptMode::Generic,
+                               VerifyOptions(), EO);
+    }
     unsigned D = countResultDivergence(Oracle, R);
     Divergent += D;
     std::printf("%-32s %s\n", C.Label,

@@ -179,18 +179,18 @@ int main(int Argc, char **Argv) {
 
   // Differential sweep (untimed): warm-store evaluations across shard and
   // thread configurations, each bit-identical to the serial oracle. The
-  // no-batch row checks the documented fallback: without BatchVerify the
-  // tier is ignored and the run still matches the oracle.
+  // plain row runs the plain-verifier shard arm, which never consults the
+  // store, and must still match the oracle.
   struct Config {
     const char *Label;
     unsigned Shards, Threads;
-    bool Batch;
+    bool Plain;
   };
   const std::vector<Config> Configs = {
-      {"warm, 1 shard, 1 thread", 1, 1, true},
-      {"warm, 3 shards, 1 thread", 3, 1, true},
-      {"warm, 8 shards, 4 threads", 8, 4, true},
-      {"warm, 8 shards, 4 threads, no batch", 8, 4, false},
+      {"warm, 1 shard, 1 thread", 1, 1, false},
+      {"warm, 3 shards, 1 thread", 3, 1, false},
+      {"warm, 8 shards, 4 threads", 8, 4, false},
+      {"warm, 8 shards, 4 threads, plain", 8, 4, true},
   };
   {
     std::string Err;
@@ -202,14 +202,23 @@ int main(int Argc, char **Argv) {
     }
     for (const Config &C : Configs) {
       ThreadPool P(C.Threads);
-      EvalOptions EO;
-      EO.Shards = C.Shards;
-      EO.Pool = &P;
-      EO.BatchVerify = C.Batch;
-      EO.VerdictTier = Store ? Store.get() : nullptr;
-      EvalResult R = evaluateModelSharded(Base, DS.Valid,
-                                          PromptMode::Generic,
-                                          VerifyOptions(), EO);
+      EvalResult R;
+      if (C.Plain) {
+        auto Plan = planEvalShards(DS.Valid.size(), C.Shards, 0xE7A1);
+        std::vector<ShardEvalResult> Shards(Plan.size());
+        P.parallelFor(Plan.size(), [&](size_t I) {
+          Shards[I] = evaluateEvalShard(Base, DS.Valid, PromptMode::Generic,
+                                        VerifyOptions(), Plan[I]);
+        });
+        R = mergeShardResults(Base.config().Name, std::move(Shards));
+      } else {
+        EvalOptions EO;
+        EO.Shards = C.Shards;
+        EO.Pool = &P;
+        EO.VerdictTier = Store ? Store.get() : nullptr;
+        R = evaluateModelSharded(Base, DS.Valid, PromptMode::Generic,
+                                 VerifyOptions(), EO);
+      }
       unsigned D = countResultDivergence(Oracle, R);
       Divergent += D;
       std::printf("%-38s %s\n", C.Label, D ? "DIVERGED" : "bit-identical");

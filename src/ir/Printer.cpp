@@ -14,7 +14,10 @@ namespace {
 /// Per-function printing context: assigns stable names to values and blocks.
 class FunctionPrinter {
 public:
-  explicit FunctionPrinter(const Function &F) : F(F) { number(); }
+  FunctionPrinter(const Function &F, bool NameFree)
+      : F(F), NameFree(NameFree) {
+    number();
+  }
 
   std::string print() {
     std::ostringstream OS;
@@ -50,7 +53,7 @@ private:
   void number() {
     unsigned Counter = 0;
     auto assign = [&](const Value *V) {
-      if (V->hasName())
+      if (V->hasName() && !NameFree)
         Names[V] = V->getName();
       else
         Names[V] = std::to_string(Counter++);
@@ -60,7 +63,7 @@ private:
     if (F.isDeclaration())
       return;
     for (const auto &BB : F) {
-      if (BB->getName().empty())
+      if (BB->getName().empty() || NameFree)
         BlockNames[BB.get()] = std::to_string(Counter++);
       else
         BlockNames[BB.get()] = BB->getName();
@@ -207,27 +210,28 @@ private:
   }
 
   const Function &F;
+  const bool NameFree;
   std::unordered_map<const Value *, std::string> Names;
   std::unordered_map<const BasicBlock *, std::string> BlockNames;
 };
 
 } // namespace
 
-std::string printFunction(const Function &F) {
-  return FunctionPrinter(F).print();
+std::string printFunction(const Function &F, bool NameFree) {
+  return FunctionPrinter(F, NameFree).print();
 }
 
-std::string printModule(const Module &M) {
+std::string printModule(const Module &M, bool NameFree) {
   std::string Out;
   for (const auto &F : M.functions())
     if (F->isDeclaration())
-      Out += printFunction(*F);
+      Out += printFunction(*F, NameFree);
   for (const auto &F : M.functions()) {
     if (F->isDeclaration())
       continue;
     if (!Out.empty())
       Out += "\n";
-    Out += printFunction(*F);
+    Out += printFunction(*F, NameFree);
   }
   return Out;
 }

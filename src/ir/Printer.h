@@ -17,11 +17,13 @@ class Function;
 class Module;
 class Instruction;
 
-/// Print a whole module (declarations first, then definitions).
-std::string printModule(const Module &M);
+/// Print a whole module (declarations first, then definitions). With
+/// \p NameFree every value and block prints as if unnamed, so naming
+/// variants of the same IR print identically (the canonical form).
+std::string printModule(const Module &M, bool NameFree = false);
 
 /// Print a single function definition or declaration.
-std::string printFunction(const Function &F);
+std::string printFunction(const Function &F, bool NameFree = false);
 
 } // namespace veriopt
 

@@ -3,20 +3,18 @@
 #include "pipeline/Evaluation.h"
 
 #include "cost/CostModel.h"
-#include "ir/Parser.h"
 #include "support/AtomicFile.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "trace/Json.h"
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
-#include "verify/AliveLite.h"
-#include "verify/BatchVerifier.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace veriopt {
@@ -108,30 +106,27 @@ SampleEval evaluateCandidate(const Sample &S, const Completion &C,
   SampleEval E;
   ++Tax.Total;
 
-  std::unique_ptr<Module> OutM;
   const Function *OutF = nullptr;
   VerifyResult VR;
+  std::optional<Candidate> Answer;
   if (!C.FormatOk) {
     VR.Status = VerifyStatus::SyntaxError;
     VR.Kind = DiagKind::ParseError;
   } else {
-    VR = Verify(S, C.AnswerIR);
+    Answer.emplace(C.AnswerIR);
+    VR = Verify(S, *Answer);
     if (VR.equivalent()) {
-      // An Equivalent verdict whose answer fails to reparse (a lying or
-      // fault-injected verifier, or parser/verifier drift) must not be
-      // trusted: classify as Inconclusive with a distinct diagnostic and
-      // keep the -O0 fallback. The old assert() compiled out under NDEBUG
-      // and ran takeValue() on the error state — UB.
-      auto Parsed = parseModule(C.AnswerIR);
-      if (!Parsed || !Parsed.value()->getMainFunction()) {
+      // An Equivalent verdict for an answer with no parsed function (a
+      // lying or fault-injected verifier, or parser/verifier drift) must
+      // not be trusted: classify as Inconclusive with a distinct diagnostic
+      // and keep the -O0 fallback.
+      OutF = Answer->function();
+      if (!OutF) {
         VR = VerifyResult();
         VR.Status = VerifyStatus::Inconclusive;
         VR.Kind = DiagKind::ParseError;
         VR.Diagnostic = "Inconclusive: verifier reported Equivalent but the "
                         "candidate did not reparse; keeping the -O0 output\n";
-      } else {
-        OutM = Parsed.takeValue();
-        OutF = OutM->getMainFunction();
       }
     }
   }
@@ -169,9 +164,8 @@ EvalResult evaluateModel(const RewritePolicyModel &Model,
   R.ModelName = Model.config().Name;
   RNG Rng(0xE7A1); // greedy decoding ignores it; kept for API symmetry
 
-  CandidateVerifier Verify = [&VOpts](const Sample &S,
-                                      const std::string &Text) {
-    return verifyCandidateText(*S.source(), Text, VOpts);
+  CandidateVerifier Verify = [&VOpts](const Sample &S, const Candidate &A) {
+    return verifyCandidate(*S.source(), A, VOpts);
   };
   for (const Sample &S : Valid) {
     Completion C = Model.generate(*S.source(), Mode, Rng, /*Greedy=*/true);
@@ -224,11 +218,35 @@ std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards,
   return Plan;
 }
 
+EvalVerifier::EvalVerifier(const VerifyOptions &VOpts,
+                           const EvalOptions &EOpts) {
+  VerifyCache *C = EOpts.SharedCache;
+  if (!C) {
+    OwnedCache = std::make_unique<VerifyCache>(EOpts.VerifyCacheCapacity);
+    C = OwnedCache.get();
+  }
+  if (EOpts.Faults)
+    C->setFaultInjector(EOpts.Faults);
+  if (EOpts.VerdictTier)
+    C->setBackingStore(EOpts.VerdictTier);
+  Ladder.Base = VOpts;
+  Ladder.MaxTiers = 1; // evaluation runs one fixed budget, no ladder
+  Ladder.Cache = C;
+  Ladder.Faults = EOpts.Faults;
+}
+
+VerifyResult EvalVerifier::verify(const Sample &S,
+                                  const Candidate &Answer) const {
+  return verifyGroup(Ladder, S.SrcText, *S.source(), {&Answer})
+      .front()
+      .Result;
+}
+
 ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
                                   const std::vector<Sample> &Valid,
                                   PromptMode Mode, const VerifyOptions &VOpts,
                                   const EvalShard &Shard,
-                                  const BatchVerifier *Batch) {
+                                  const EvalVerifier *Verifier) {
   TraceSpan Span("eval.shard");
 
   ShardEvalResult R;
@@ -236,13 +254,13 @@ ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
   RNG Rng(Shard.RngSeed);
 
   CandidateVerifier Verify;
-  if (Batch)
-    Verify = [Batch](const Sample &S, const std::string &Text) {
-      return Batch->verifyOne(S.SrcText, *S.source(), Text);
+  if (Verifier)
+    Verify = [Verifier](const Sample &S, const Candidate &A) {
+      return Verifier->verify(S, A);
     };
   else
-    Verify = [&VOpts](const Sample &S, const std::string &Text) {
-      return verifyCandidateText(*S.source(), Text, VOpts);
+    Verify = [&VOpts](const Sample &S, const Candidate &A) {
+      return verifyCandidate(*S.source(), A, VOpts);
     };
 
   const size_t End = std::min(Shard.End, Valid.size());
@@ -363,34 +381,15 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
     CWriteFailed.inc();
   }
 
-  // One shared cache + BatchVerifier context for the whole run: shards are
-  // parallelized at shard granularity (the group-level fan-out stays off —
-  // ThreadPool jobs are not reentrant), and the cache's single-flight keeps
-  // duplicate (source, candidate) pairs across shards from paying twice.
-  std::unique_ptr<VerifyCache> Cache;
-  std::unique_ptr<BatchVerifier> BV;
-  if (EOpts.BatchVerify) {
-    VerifyCache *C = EOpts.SharedCache;
-    if (!C) {
-      Cache = std::make_unique<VerifyCache>(EOpts.VerifyCacheCapacity);
-      C = Cache.get();
-    }
-    if (EOpts.Faults)
-      C->setFaultInjector(EOpts.Faults);
-    if (EOpts.VerdictTier)
-      C->setBackingStore(EOpts.VerdictTier);
-    BatchVerifier::Options BO;
-    BO.Robust.Base = VOpts;
-    BO.Robust.MaxTiers = 1; // evaluation runs one fixed budget, no ladder
-    BO.Pool = nullptr;
-    BO.Threads = 1;
-    BV = std::make_unique<BatchVerifier>(BO, C, EOpts.Faults);
-  }
-
+  // One verifier (and cache) for the whole run: shards are parallelized at
+  // shard granularity (the group-level fan-out stays off — ThreadPool jobs
+  // are not reentrant), and the cache's single-flight keeps duplicate
+  // (source, candidate) pairs across shards from paying twice.
+  const EvalVerifier Verifier(VOpts, EOpts);
   std::vector<ShardEvalResult> Results(Plan.size());
   auto RunShard = [&](size_t I) {
     Results[I] =
-        evaluateEvalShard(Model, Valid, Mode, VOpts, Plan[I], BV.get());
+        evaluateEvalShard(Model, Valid, Mode, VOpts, Plan[I], &Verifier);
   };
   if (EOpts.Pool && EOpts.Pool->numThreads() > 1 && Plan.size() > 1)
     EOpts.Pool->parallelFor(Plan.size(), RunShard);
@@ -415,7 +414,9 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
     Span.arg(TraceArg::ofInt("correct", R.Taxonomy.Correct));
     Span.arg(TraceArg::ofInt("inconclusive", R.Taxonomy.Inconclusive));
     Span.arg(TraceArg::ofStr("model", R.ModelName));
-    Span.arg(TraceArg::ofBool("batch_verify", EOpts.BatchVerify));
+    // Always true since evaluation always group-verifies; kept so traces
+    // stay diffable against earlier runs.
+    Span.arg(TraceArg::ofBool("batch_verify", true));
     // Pool width shapes the schedule, not the result.
     Span.meta(TraceArg::ofInt(
         "threads", EOpts.Pool ? EOpts.Pool->numThreads() : 1));
@@ -426,34 +427,6 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
 //===--- Shard serialization --------------------------------------------------//
 
 namespace {
-
-/// IEEE-754 bit-hex for doubles (the checkpoint discipline): JSON numeric
-/// round-trips are not bit-exact in general; these are.
-std::string dhex(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Bits));
-  return Buf;
-}
-
-bool dunhex(const std::string &S, double &D) {
-  if (S.size() != 16)
-    return false;
-  uint64_t Bits = 0;
-  for (char C : S) {
-    Bits <<= 4;
-    if (C >= '0' && C <= '9')
-      Bits |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Bits |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  std::memcpy(&D, &Bits, sizeof(D));
-  return true;
-}
 
 bool jsonU64(const JsonValue &O, const char *Key, uint64_t &Out) {
   const JsonValue *V = O.get(Key);
@@ -468,7 +441,7 @@ bool jsonU64(const JsonValue &O, const char *Key, uint64_t &Out) {
 
 bool jsonDhex(const JsonValue &O, const char *Key, double &Out) {
   const JsonValue *V = O.get(Key);
-  return V && V->isString() && dunhex(V->str(), Out);
+  return V && V->isString() && parseHexDouble(V->str(), Out);
 }
 
 bool shardFromJsonObject(const JsonValue &O, EvalShard &S) {
@@ -477,26 +450,20 @@ bool shardFromJsonObject(const JsonValue &O, EvalShard &S) {
       !jsonU64(O, "end", End))
     return false;
   const JsonValue *Seed = O.get("rng_seed");
-  if (!Seed || !Seed->isString())
-    return false;
-  double SeedD;
-  if (!dunhex(Seed->str(), SeedD))
+  if (!Seed || !Seed->isString() || !parseHex64(Seed->str(), S.RngSeed))
     return false;
   S.Index = static_cast<unsigned>(Index);
   S.Begin = static_cast<size_t>(Begin);
   S.End = static_cast<size_t>(End);
-  std::memcpy(&S.RngSeed, &SeedD, sizeof(S.RngSeed));
   return true;
 }
 
 void shardToJson(std::ostringstream &OS, const EvalShard &S) {
   // rng_seed is a full uint64, which a JSON double cannot carry exactly —
-  // reuse the bit-hex channel.
-  double SeedD;
-  std::memcpy(&SeedD, &S.RngSeed, sizeof(SeedD));
+  // it travels as hex.
   OS << "{\"index\":" << S.Index << ",\"begin\":" << S.Begin
-     << ",\"end\":" << S.End << ",\"rng_seed\":" << jsonString(dhex(SeedD))
-     << "}";
+     << ",\"end\":" << S.End
+     << ",\"rng_seed\":" << jsonString(hex64(S.RngSeed)) << "}";
 }
 
 } // namespace
@@ -504,10 +471,8 @@ void shardToJson(std::ostringstream &OS, const EvalShard &S) {
 std::string shardManifestToJson(const std::vector<EvalShard> &Plan,
                                 uint64_t Seed, size_t Samples) {
   std::ostringstream OS;
-  double SeedD;
-  std::memcpy(&SeedD, &Seed, sizeof(SeedD));
-  OS << "{\"seed\":" << jsonString(dhex(SeedD)) << ",\"samples\":" << Samples
-     << ",\"shards\":[";
+  OS << "{\"seed\":" << jsonString(hex64(Seed))
+     << ",\"samples\":" << Samples << ",\"shards\":[";
   for (size_t I = 0; I < Plan.size(); ++I) {
     if (I)
       OS << ",";
@@ -559,9 +524,9 @@ std::string shardResultToJson(const ShardEvalResult &R) {
     OS << "{\"status\":" << jsonString(verifyStatusName(E.Status))
        << ",\"is_copy\":" << (E.IsCopy ? "true" : "false")
        << ",\"used_fallback\":" << (E.UsedFallback ? "true" : "false")
-       << ",\"lat_o0\":" << jsonString(dhex(E.LatO0))
-       << ",\"lat_out\":" << jsonString(dhex(E.LatOut))
-       << ",\"lat_ref\":" << jsonString(dhex(E.LatRef))
+       << ",\"lat_o0\":" << jsonString(hexDouble(E.LatO0))
+       << ",\"lat_out\":" << jsonString(hexDouble(E.LatOut))
+       << ",\"lat_ref\":" << jsonString(hexDouble(E.LatRef))
        << ",\"icount_o0\":" << E.ICountO0 << ",\"icount_out\":" << E.ICountOut
        << ",\"icount_ref\":" << E.ICountRef << ",\"size_o0\":" << E.SizeO0
        << ",\"size_out\":" << E.SizeOut << ",\"size_ref\":" << E.SizeRef

@@ -11,9 +11,9 @@
 //
 // The harness scales with the corpus: evaluateModelSharded() partitions the
 // validation set into deterministic contiguous shards, evaluates each shard
-// (optionally on the shared ThreadPool, optionally through a BatchVerifier
-// context so one SourceEncoding serves a sample's whole candidate group),
-// and merges the per-shard results with an order-independent reduction that
+// (optionally on the shared ThreadPool) through one EvalVerifier — the
+// group verifier over a verify cache and optional verdict store — and
+// merges the per-shard results with an order-independent reduction that
 // is bit-identical to the serial oracle evaluateModel() at any shard/thread
 // count. A shard is a serializable work unit — planEvalShards() emits a
 // manifest and every ShardEvalResult round-trips through JSON with
@@ -26,18 +26,16 @@
 
 #include "model/Policy.h"
 #include "data/Dataset.h"
+#include "verify/Ladder.h"
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace veriopt {
 
-class BatchVerifier;
-class FaultInjector;
 class ThreadPool;
-class VerdictBackingTier;
-class VerifyCache;
 
 /// Table I/II row counts.
 struct VerifyTaxonomy {
@@ -117,16 +115,17 @@ void recomputeAggregates(EvalResult &R);
 
 //===--- Per-sample core ----------------------------------------------------===//
 
-/// How a candidate text gets verified against its sample (plain
-/// verifyCandidateText, a cache, or a BatchVerifier context).
+/// How a parsed answer gets verified against its sample (plain
+/// verifyCandidate, or an EvalVerifier).
 using CandidateVerifier =
-    std::function<VerifyResult(const Sample &S, const std::string &Text)>;
+    std::function<VerifyResult(const Sample &S, const Candidate &Answer)>;
 
 /// Verify and classify one completion for \p S: the shared per-sample core
 /// of the serial and sharded paths (identical logic is what makes the
-/// differential guarantee hold). Counts the outcome into \p Tax. A verdict
-/// of Equivalent whose answer fails to reparse is recorded as Inconclusive
-/// with a distinct diagnostic and keeps the -O0 fallback — never UB.
+/// differential guarantee hold). Counts the outcome into \p Tax. The kept
+/// output is the answer's own parse; a verdict of Equivalent for an answer
+/// that did not parse is recorded as Inconclusive with a distinct
+/// diagnostic and keeps the -O0 fallback — never UB.
 SampleEval evaluateCandidate(const Sample &S, const Completion &C,
                              const CandidateVerifier &Verify,
                              VerifyTaxonomy &Tax);
@@ -157,33 +156,26 @@ struct EvalOptions {
   /// Shards run on this pool when it has more than one thread; null or
   /// single-threaded pools evaluate shards inline, in index order.
   ThreadPool *Pool = nullptr;
-  /// Route verification through a shared BatchVerifier + VerifyCache (the
-  /// GRPO group machinery; a sample's candidate set shares one
-  /// SourceEncoding). Off = plain verifyCandidateText. Verdicts are
-  /// bit-identical either way.
-  bool BatchVerify = true;
-  /// Verify-memo capacity in entries when BatchVerify is on (0 = unbounded).
+  /// Capacity in entries of the run's private verify memo (0 = unbounded).
   size_t VerifyCacheCapacity = 4096;
   /// Optional externally owned verify cache. When set, the run uses it
   /// instead of creating a private one, so successive evaluations (the
   /// checkpoint-cadence and ablation-table workloads, which re-verify
   /// mostly unchanged (source, candidate) pairs) replay verdicts instead
-  /// of recomputing them — bit-identical either way (the PR4 cache
-  /// contract). Ignored when BatchVerify is off.
+  /// of recomputing them — bit-identical either way.
   VerifyCache *SharedCache = nullptr;
   /// Optional durable verdict tier (the persistent VerdictStore) attached
   /// under the run's verify cache: memo misses read through to it and
   /// fresh verdicts write behind, so a warm store replays verification
   /// across processes and runs. Bit-identical either way (verification is
   /// deterministic and the store admits only deterministic verdicts — see
-  /// docs/PERSISTENCE.md). Requires BatchVerify (the store sits under the
-  /// cache); ignored otherwise. Caller owns; must outlive the evaluation.
+  /// docs/PERSISTENCE.md). Caller owns; must outlive the evaluation.
   VerdictBackingTier *VerdictTier = nullptr;
   /// Base seed for per-shard RNG derivation (API symmetry with training;
   /// greedy decoding ignores the stream).
   uint64_t Seed = 0xE7A1;
-  /// Optional deterministic fault injection, honored by the BatchVerify
-  /// path's oracle-budget / verdict-flip / cache-miss sites.
+  /// Optional deterministic fault injection: the ladder's oracle-budget /
+  /// verdict-flip sites and the cache's cache-miss site.
   FaultInjector *Faults = nullptr;
   /// When non-empty, write the shard plan as JSON (atomic write-then-
   /// rename) so an external driver can later run shards out of process.
@@ -203,13 +195,28 @@ uint64_t deriveShardSeed(uint64_t Seed, unsigned ShardIdx);
 std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards,
                                       uint64_t Seed);
 
-/// Evaluate one shard. \p Batch may be null (plain verification at
-/// \p VOpts). This is the unit a multi-process driver would invoke.
+/// The verifier evaluation runs: each greedy answer is a group of one for
+/// the group verifier (one shared-encoding ladder at a single fixed budget,
+/// no retries, no per-request telemetry) through a verify cache with the
+/// options' verdict store and fault injector attached.
+/// evaluateModelSharded and the multi-process worker both build it here.
+class EvalVerifier {
+public:
+  EvalVerifier(const VerifyOptions &VOpts, const EvalOptions &EOpts);
+  VerifyResult verify(const Sample &S, const Candidate &Answer) const;
+
+private:
+  std::unique_ptr<VerifyCache> OwnedCache;
+  LadderOptions Ladder;
+};
+
+/// Evaluate one shard. \p Verifier may be null (plain verification at
+/// \p VOpts, the oracle). This is the unit a multi-process driver invokes.
 ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
                                   const std::vector<Sample> &Valid,
                                   PromptMode Mode, const VerifyOptions &VOpts,
                                   const EvalShard &Shard,
-                                  const BatchVerifier *Batch = nullptr);
+                                  const EvalVerifier *Verifier = nullptr);
 
 /// Merge per-shard results: concatenate PerSample in shard-index order,
 /// sum the taxonomy, recompute aggregates. Order-independent in the input
@@ -218,7 +225,7 @@ EvalResult mergeShardResults(const std::string &ModelName,
                              std::vector<ShardEvalResult> Shards);
 
 /// The sharded front door. Bit-identical to evaluateModel() at any
-/// Shards/Pool configuration, with or without BatchVerify.
+/// Shards/Pool configuration, cache or store state.
 EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
                                 const std::vector<Sample> &Valid,
                                 PromptMode Mode, const VerifyOptions &VOpts,

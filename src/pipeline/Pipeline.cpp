@@ -5,7 +5,6 @@
 #include "pipeline/EvalDriver.h"
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
-#include "verify/BatchVerifier.h"
 
 #include <algorithm>
 #include <chrono>
@@ -24,66 +23,28 @@ static RolloutScore scoreFromBreakdown(const RewardBreakdown &B,
   return Score;
 }
 
-RewardFn makeAnswerReward(const VerifyOptions &VOpts, VerifyCache *Cache) {
-  return [VOpts, Cache](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, VOpts, Cache);
+RewardFn makeAnswerReward() {
+  return [](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, *V.Answer, V.AnswerVerify);
     return scoreFromBreakdown(B, B.Total);
   };
 }
 
-RewardFn makeCorrectnessReward(const VerifyOptions &VOpts, VerifyCache *Cache) {
-  return [VOpts, Cache](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, VOpts, Cache);
-    VerifyResult AttemptV = verifyAttempt(S, C, VOpts, Cache);
-    return scoreFromBreakdown(B, B.Total + cotReward(C, AttemptV));
+RewardFn makeCorrectnessReward() {
+  return [](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, *V.Answer, V.AnswerVerify);
+    return scoreFromBreakdown(B, B.Total + cotReward(C, V.AttemptVerify));
   };
 }
 
-RewardFn makeLatencyReward(const VerifyOptions &VOpts,
-                           const LatencyRewardParams &P, VerifyCache *Cache) {
-  return [VOpts, P, Cache](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, VOpts, Cache);
+RewardFn makeLatencyReward(const LatencyRewardParams &P) {
+  return [P](const Sample &S, const Completion &C, const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, *V.Answer, V.AnswerVerify);
     // Eq. (4): equivalence-gated shaped speedup. Alive2 stays in the loop
     // as the gate even though the instcombine labels are gone.
-    return scoreFromBreakdown(B, latencyReward(S, C, B.Equivalent, P));
+    return scoreFromBreakdown(B,
+                              latencyReward(S, *V.Answer, B.Equivalent, P));
   };
-}
-
-RewardFn makeAnswerReward(const RobustVerifier &RV) {
-  const RobustVerifier *V = &RV;
-  return [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, *V);
-    return scoreFromBreakdown(B, B.Total);
-  };
-}
-
-RewardFn makeCorrectnessReward(const RobustVerifier &RV) {
-  const RobustVerifier *V = &RV;
-  return [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, *V);
-    VerifyResult AttemptV = verifyAttempt(S, C, *V);
-    return scoreFromBreakdown(B, B.Total + cotReward(C, AttemptV));
-  };
-}
-
-RewardFn makeLatencyReward(const RobustVerifier &RV,
-                           const LatencyRewardParams &P) {
-  const RobustVerifier *V = &RV;
-  return [V, P](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, *V);
-    return scoreFromBreakdown(B, latencyReward(S, C, B.Equivalent, P));
-  };
-}
-
-static void foldStageLog(PipelineArtifacts &Art,
-                         const std::vector<TrainLogEntry> &Log) {
-  for (const TrainLogEntry &E : Log) {
-    Art.ScoreWallMs += E.ScoreWallMs;
-    Art.FalsifyWins += E.FalsifyWins;
-    Art.SolverConflicts += E.SolverConflicts;
-    Art.RetryEscalations += E.RetryEscalations;
-    Art.TerminalInconclusive += E.TerminalInconclusive;
-  }
 }
 
 //===--- Checkpoint plumbing -------------------------------------------------//
@@ -169,28 +130,17 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
       Cache->setBackingStore(Opts.VerdictTier);
   }
 
-  // All training verification goes through the escalating retry ladder.
-  // With one tier this is exactly the plain single-budget verifier.
-  RobustVerifyOptions RVO;
-  RVO.Base = Opts.TrainVerify;
-  RVO.MaxTiers = std::max(1u, Opts.VerifyRetryTiers);
-  RVO.BudgetGrowth = Opts.VerifyRetryGrowth;
-  RobustVerifier RV(RVO, Cache.get(), Opts.Faults);
-
+  // All training verification goes through the escalating retry ladder,
+  // once per prompt group. With one tier this is exactly the plain
+  // single-budget verifier.
   GRPOOptions GBase = Opts.GRPO;
   GBase.Threads = Opts.Threads;
   GBase.Pool = &Pool;
-  GBase.Cache = Cache.get();
-
-  // Batched group verification: pre-verify each prompt group through one
-  // shared solver context, seeding the cache the reward replays from.
-  // Shares the ladder configuration with RV so cache keys line up.
-  BatchVerifier::Options BO;
-  BO.Robust = RVO;
-  BO.Pool = &Pool;
-  BO.Threads = Opts.Threads;
-  BatchVerifier BV(BO, Cache.get(), Opts.Faults);
-  GBase.Batch = (Opts.BatchVerify && Cache) ? &BV : nullptr;
+  GBase.Verify.Base = Opts.TrainVerify;
+  GBase.Verify.MaxTiers = std::max(1u, Opts.VerifyRetryTiers);
+  GBase.Verify.BudgetGrowth = Opts.VerifyRetryGrowth;
+  GBase.Verify.Cache = Cache.get();
+  GBase.Verify.Faults = Opts.Faults;
 
   //===--- Resume --------------------------------------------------------===//
 
@@ -362,7 +312,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
           ++Art.CorrectionSamples;
         }
       };
-      GRPOTrainer Trainer(*Art.ModelZero, makeAnswerReward(RV), G);
+      GRPOTrainer Trainer(*Art.ModelZero, makeAnswerReward(), G);
       runStage(0, Trainer, Art.Stage1Log, Opts.Stage1Steps);
     }
 
@@ -404,7 +354,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     G.Mode = PromptMode::Augmented;
     G.Seed = Opts.Seed * 7 + 3;
     G.TraceLabel = "stage2";
-    GRPOTrainer Trainer(*Art.Correctness, makeCorrectnessReward(RV), G);
+    GRPOTrainer Trainer(*Art.Correctness, makeCorrectnessReward(), G);
     runStage(1, Trainer, Art.Stage2Log, Opts.Stage2Steps);
     if (!Halt) {
       Art.Latency = std::make_unique<RewritePolicyModel>(*Art.Correctness);
@@ -425,25 +375,13 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     G.LearningRate = Opts.Stage3LearningRate;
     G.Seed = Opts.Seed * 11 + 4;
     G.TraceLabel = "stage3";
-    GRPOTrainer Trainer(*Art.Latency, makeLatencyReward(RV, P), G);
+    GRPOTrainer Trainer(*Art.Latency, makeLatencyReward(P), G);
     runStage(2, Trainer, Art.Stage3Log, Opts.Stage3Steps);
     if (!Halt)
       writeCkpt(snapshot(3, nullptr)); // complete
   }
 
   Art.Halted = Halt;
-  foldStageLog(Art, Art.Stage1Log);
-  foldStageLog(Art, Art.Stage2Log);
-  foldStageLog(Art, Art.Stage3Log);
-  if (Cache) {
-    VerifyCache::Counters C = Cache->counters();
-    Art.VerifyCacheHits = C.Hits;
-    Art.VerifyCacheMisses = C.Misses;
-    Art.VerifyCacheEvictions = C.Evictions;
-  }
-  RobustVerifier::Counters RC = RV.counters();
-  Art.InjectedFaults = RC.InjectedBudgetFaults + RC.InjectedVerdictFlips;
-
   return Art;
 }
 

@@ -50,22 +50,17 @@ struct PipelineOptions {
   VerifyOptions TrainVerify = trainVerifyDefaults();
   uint64_t Seed = 2026;
 
-  /// Rollout-scoring worker threads, shared by all three GRPO stages.
-  /// Generation stays sequential, so results are bit-identical at any
-  /// setting (see GRPOOptions::Threads).
+  /// Verification and scoring worker threads, shared by all three GRPO
+  /// stages. Generation stays sequential, so results are bit-identical at
+  /// any setting (see GRPOOptions::Threads).
   unsigned Threads = 1;
   /// Verify-memo capacity in entries; 0 disables the cache. The cache is
   /// shared across stages (keys carry the full verification budget).
   size_t VerifyCacheCapacity = 4096;
-  /// Batched group verification (BatchVerifier): pre-verify each prompt
-  /// group through one shared solver context before scoring, seeding the
-  /// cache. Requires the cache; verdicts are bit-identical either way, so
-  /// the sequential path (off) remains the oracle.
-  bool BatchVerify = true;
 
   //===--- Fault-tolerant runtime ---------------------------------------===//
 
-  /// Escalating verification retry ladder (RobustVerifier): budget-bound
+  /// Escalating verification retry ladder (verify/Ladder.h): budget-bound
   /// Inconclusives are re-asked at geometrically larger budgets. 1 tier
   /// reproduces the plain single-budget behaviour exactly.
   unsigned VerifyRetryTiers = 3;
@@ -118,14 +113,13 @@ struct PipelineOptions {
   std::string EvalShardManifestPath;
   std::string EvalShardResultDir;
 
-  /// EvalOptions matching this pipeline configuration (shards, batch
-  /// verification, cache capacity, seed, fault injection). \p Pool may be
-  /// null for inline evaluation.
+  /// EvalOptions matching this pipeline configuration (shards, cache
+  /// capacity, seed, fault injection). \p Pool may be null for inline
+  /// evaluation.
   EvalOptions makeEvalOptions(ThreadPool *Pool = nullptr) const {
     EvalOptions EO;
     EO.Shards = EvalShards;
     EO.Pool = Pool;
-    EO.BatchVerify = BatchVerify && VerifyCacheCapacity > 0;
     EO.VerifyCacheCapacity = VerifyCacheCapacity;
     EO.Seed = Seed;
     EO.Faults = Faults;
@@ -161,22 +155,12 @@ struct PipelineArtifacts {
   unsigned FirstTimeSamples = 0;
   double UMax = 3.0;
 
-  // Verifier-cost instrumentation, aggregated over all GRPO stages.
-  double ScoreWallMs = 0;         ///< total rollout-scoring wall time
-  uint64_t VerifyCacheHits = 0;   ///< across the shared verify cache
-  uint64_t VerifyCacheMisses = 0;
-  uint64_t VerifyCacheEvictions = 0;
-  unsigned FalsifyWins = 0;       ///< counterexamples found pre-SMT
-  uint64_t SolverConflicts = 0;   ///< total CDCL conflicts spent scoring
-
-  // Fault-tolerant-runtime instrumentation.
+  // Fault-tolerant-runtime instrumentation. Verifier cost lives in the
+  // per-step TrainLogEntry fields and the verify.* / smt.* metrics.
   bool Halted = false;            ///< stopped early via HaltAfterSteps
   unsigned CheckpointsWritten = 0;
   unsigned CheckpointWriteFailures = 0; ///< injected or real; run continued
   uint64_t CheckpointRetries = 0;       ///< extra save attempts consumed
-  uint64_t RetryEscalations = 0;        ///< rollouts verified above tier 0
-  uint64_t TerminalInconclusive = 0;    ///< budget-bound at the top tier
-  uint64_t InjectedFaults = 0;          ///< oracle faults the verifier saw
 };
 
 /// Run the full pipeline over \p DS (built by the caller so benches can
@@ -184,27 +168,15 @@ struct PipelineArtifacts {
 PipelineArtifacts runTrainingPipeline(const Dataset &DS,
                                       const PipelineOptions &Opts);
 
-/// Stage-1 style reward (Eq. 1) bound to a verification budget. A non-null
-/// \p Cache memoizes verification; all factories produce thread-safe
-/// functions suitable for parallel scoring.
-RewardFn makeAnswerReward(const VerifyOptions &VOpts,
-                          VerifyCache *Cache = nullptr);
+/// Stage-1 reward: Eq. (1) on the answer. The factories are pure reward
+/// math over the trainer's verdicts, safe for parallel scoring.
+RewardFn makeAnswerReward();
 
 /// Stage-2 reward: Eq. (1) on the answer plus Eq. (2) on the think section.
-RewardFn makeCorrectnessReward(const VerifyOptions &VOpts,
-                               VerifyCache *Cache = nullptr);
+RewardFn makeCorrectnessReward();
 
 /// Stage-3 reward: Eq. (4) with the given parameters.
-RewardFn makeLatencyReward(const VerifyOptions &VOpts,
-                           const LatencyRewardParams &P,
-                           VerifyCache *Cache = nullptr);
-
-/// Fault-tolerant factory variants: verification goes through \p RV's
-/// escalating retry ladder. \p RV must outlive the returned function.
-RewardFn makeAnswerReward(const RobustVerifier &RV);
-RewardFn makeCorrectnessReward(const RobustVerifier &RV);
-RewardFn makeLatencyReward(const RobustVerifier &RV,
-                           const LatencyRewardParams &P);
+RewardFn makeLatencyReward(const LatencyRewardParams &P);
 
 } // namespace veriopt
 

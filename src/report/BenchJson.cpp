@@ -5,28 +5,10 @@
 #include "trace/Json.h"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace veriopt {
-
-bool parseBitHexDouble(const std::string &S, double &Out) {
-  if (S.size() != 16)
-    return false;
-  uint64_t Bits = 0;
-  for (char C : S) {
-    Bits <<= 4;
-    if (C >= '0' && C <= '9')
-      Bits |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Bits |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  std::memcpy(&Out, &Bits, sizeof(Out));
-  return true;
-}
 
 namespace {
 
@@ -47,7 +29,7 @@ bool parseGauge(const JsonValue &V, double &Out) {
     return true;
   }
   // The exact channel: a 16-hex-char string is the IEEE-754 bit pattern.
-  return V.isString() && parseBitHexDouble(V.str(), Out);
+  return V.isString() && parseHexDouble(V.str(), Out);
 }
 
 bool parseHist(const std::string &Name, const JsonValue &V,

@@ -71,9 +71,6 @@ bool loadBenchJson(const std::string &Path, BenchReport &Out,
 std::string benchReportToJson(const std::string &Name,
                               const MetricsRegistry::Snapshot &S);
 
-/// Decode a 16-hex-char IEEE-754 bit pattern (e.g. "3ff0000000000000").
-bool parseBitHexDouble(const std::string &S, double &Out);
-
 } // namespace veriopt
 
 #endif // VERIOPT_REPORT_BENCHJSON_H

@@ -192,7 +192,7 @@ std::string renderRunReport(const RunSummary &S, unsigned TopN) {
     };
     double Groups = M("batch.groups");
     if (Groups == 0) {
-      OS << "no batch.* metrics in this trace (BatchVerify off or no cache)\n";
+      OS << "no batch.* metrics in this trace (no group verification ran)\n";
     } else {
       double Cands = M("batch.candidates"), Uniq = M("batch.unique");
       double Hits = M("batch.cache_hits"), Comp = M("batch.computed");

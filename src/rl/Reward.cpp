@@ -3,7 +3,6 @@
 #include "rl/Reward.h"
 
 #include "cost/CostModel.h"
-#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
 #include "textgen/Bleu.h"
@@ -15,28 +14,24 @@ namespace veriopt {
 
 /// A copy that has been re-wrapped in whitespace or renumbered values must
 /// still count as a copy, or the copy penalty / CopyRate stat is evaded by
-/// cosmetic edits. Compare canonically re-printed IR; fall back to the raw
-/// byte compare when the answer does not parse.
-static bool isCopyOfSource(const Sample &S, const std::string &AnswerIR) {
-  if (AnswerIR == S.SrcText)
+/// cosmetic edits. Compare re-printed IR (value names included); fall back
+/// to the raw byte compare when the answer does not parse.
+static bool isCopyOfSource(const Sample &S, const Candidate &Answer) {
+  if (Answer.Text == S.SrcText)
     return true;
-  auto M = parseModule(AnswerIR);
-  if (!M || !M.value()->getMainFunction())
-    return false;
-  return printFunction(*M.value()->getMainFunction()) ==
-         printFunction(*S.source());
+  const Function *F = Answer.function();
+  return F && printFunction(*F) == printFunction(*S.source());
 }
 
-/// Everything after the verification verdict is shared between the plain
-/// and the retry-ladder overloads.
-static RewardBreakdown scoreWithVerdict(const Sample &S, const Completion &C,
-                                        VerifyResult Verdict) {
+RewardBreakdown answerReward(const Sample &S, const Completion &C,
+                             const Candidate &Answer,
+                             const VerifyResult &AnswerVerify) {
   RewardBreakdown Out;
   Out.FormatOk = C.FormatOk;
-  Out.IsCopy = isCopyOfSource(S, C.AnswerIR);
+  Out.IsCopy = isCopyOfSource(S, Answer);
 
   if (Out.FormatOk) {
-    Out.Verify = std::move(Verdict);
+    Out.Verify = AnswerVerify;
     Out.Equivalent = Out.Verify.equivalent();
   } else {
     Out.Verify.Status = VerifyStatus::SyntaxError;
@@ -53,35 +48,6 @@ static RewardBreakdown scoreWithVerdict(const Sample &S, const Completion &C,
   return Out;
 }
 
-RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const VerifyOptions &VOpts, VerifyCache *Cache) {
-  VerifyResult V;
-  if (C.FormatOk)
-    V = Cache ? Cache->verify(S.SrcText, *S.source(), C.AnswerIR, VOpts)
-              : verifyCandidateText(*S.source(), C.AnswerIR, VOpts);
-  return scoreWithVerdict(S, C, std::move(V));
-}
-
-RewardBreakdown answerReward(const Sample &S, const Completion &C,
-                             const RobustVerifier &RV) {
-  VerifyResult V;
-  if (C.FormatOk)
-    V = RV.verify(S.SrcText, *S.source(), C.AnswerIR).Result;
-  return scoreWithVerdict(S, C, std::move(V));
-}
-
-VerifyResult verifyAttempt(const Sample &S, const Completion &C,
-                           const VerifyOptions &VOpts, VerifyCache *Cache) {
-  if (Cache)
-    return Cache->verify(S.SrcText, *S.source(), C.ThinkAttemptIR, VOpts);
-  return verifyCandidateText(*S.source(), C.ThinkAttemptIR, VOpts);
-}
-
-VerifyResult verifyAttempt(const Sample &S, const Completion &C,
-                           const RobustVerifier &RV) {
-  return RV.verify(S.SrcText, *S.source(), C.ThinkAttemptIR).Result;
-}
-
 double cotReward(const Completion &C, const VerifyResult &AttemptVerify) {
   bool ModelSaysOk = C.PredictedDiagClass == 0;
   bool AliveSaysOk = AttemptVerify.equivalent();
@@ -93,19 +59,19 @@ double cotReward(const Completion &C, const VerifyResult &AttemptVerify) {
   return 0.0; // disagreement
 }
 
-double latencyReward(const Sample &S, const Completion &C, bool Equivalent,
+double latencyReward(const Sample &S, const Candidate &Answer, bool Equivalent,
                      const LatencyRewardParams &P) {
   if (!Equivalent)
     return 0.0; // S = 0
   if (P.UMax <= 1.0)
     return 0.0; // saturation band is empty: Eq. (4) would divide by zero
-  auto M = parseModule(C.AnswerIR);
-  if (!M || !M.value()->getMainFunction())
+  const Function *F = Answer.function();
+  if (!F)
     return 0.0;
   double T0 = estimateLatency(*S.source());
   if (T0 <= 0)
     return 0.0; // zero-latency source: no speedup is expressible
-  double T1 = estimateLatency(*M.value()->getMainFunction());
+  double T1 = estimateLatency(*F);
   if (T1 <= 0)
     T1 = 0.5; // fully-folded function: credit the maximum
   double U = T0 / T1;

@@ -4,11 +4,12 @@
 
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
-#include "verify/BatchVerifier.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
 
 namespace veriopt {
 
@@ -44,6 +45,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
     const Sample *S;
     Completion C;
+    RolloutVerdicts Verdicts;
     RolloutScore Score;
     double Advantage = 0;
   };
@@ -72,38 +74,55 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     }
   }
 
-  // Phase 1.5: batched group pre-verification. One shared solver context
-  // per prompt group computes every verdict the scoring pass is about to
-  // ask for and seeds the verification cache; scoring then replays from
-  // the cache through the ordinary retry ladder. The batch runs the same
-  // ladder over the same budgets, so verdicts — and therefore rewards and
-  // the trained model — are bit-identical with this knob off.
-  if (Opts.Batch && Opts.Cache) {
-    for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
-      const Sample *S = Batch[PromptIdx];
-      std::vector<std::string> Texts;
-      Texts.reserve(Opts.GroupSize * 2);
-      for (unsigned G = 0; G < Opts.GroupSize; ++G) {
-        const Completion &C = Rollouts[PromptIdx * Opts.GroupSize + G].C;
-        // Mirror exactly what the reward verifies: answers only when the
-        // format gate passes, think-attempts unconditionally in augmented
-        // mode (see answerReward / verifyAttempt).
-        if (C.FormatOk)
-          Texts.push_back(C.AnswerIR);
-        if (Opts.Mode == PromptMode::Augmented)
-          Texts.push_back(C.ThinkAttemptIR);
+  // Phase 2: group verification. Each prompt group's texts are parsed once
+  // (byte-identical texts share one Candidate); every answer that passes
+  // the format gate and, in augmented mode, every think-attempt is then
+  // verified through one shared source encoding. This is the only
+  // verification of the step: the reward reads the verdicts.
+  VerifyCache::Counters Before;
+  if (Opts.Verify.Cache)
+    Before = Opts.Verify.Cache->counters();
+  std::vector<std::unique_ptr<Candidate>> Parsed;
+  ThreadPool *VerifyPool = Opts.Threads > 1 ? Opts.Pool : nullptr;
+  for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
+    const Sample *S = Batch[PromptIdx];
+    std::unordered_map<std::string_view, const Candidate *> ByText;
+    auto candidateFor = [&](const std::string &Text) {
+      auto [It, Inserted] = ByText.emplace(Text, nullptr);
+      if (Inserted) {
+        Parsed.push_back(std::make_unique<Candidate>(Text));
+        It->second = Parsed.back().get();
       }
-      if (!Texts.empty())
-        Opts.Batch->verifyGroup(S->SrcText, *S->source(), Texts);
+      return It->second;
+    };
+    std::vector<const Candidate *> Requests;
+    std::vector<VerifyResult *> Into;
+    for (unsigned G = 0; G < Opts.GroupSize; ++G) {
+      Rollout &Ro = Rollouts[PromptIdx * Opts.GroupSize + G];
+      Ro.Verdicts.Answer = candidateFor(Ro.C.AnswerIR);
+      if (Ro.C.FormatOk) {
+        Requests.push_back(Ro.Verdicts.Answer);
+        Into.push_back(&Ro.Verdicts.AnswerVerify);
+      }
+      if (Opts.Mode == PromptMode::Augmented) {
+        Requests.push_back(candidateFor(Ro.C.ThinkAttemptIR));
+        Into.push_back(&Ro.Verdicts.AttemptVerify);
+      }
+    }
+    if (Requests.empty())
+      continue;
+    std::vector<LadderOutcome> Outs = verifyGroup(
+        Opts.Verify, S->SrcText, *S->source(), Requests, VerifyPool);
+    // Retry telemetry is per request, deduplicated or cached or not.
+    for (size_t K = 0; K < Outs.size(); ++K) {
+      recordLadderTelemetry(Outs[K]);
+      *Into[K] = std::move(Outs[K].Result);
     }
   }
 
-  // Phase 2: scoring — the verification-dominated hot path — fans out over
-  // the pool. Each task writes only its own rollout's Score slot, so the
-  // result is identical to the serial loop.
-  VerifyCache::Counters Before;
-  if (Opts.Cache)
-    Before = Opts.Cache->counters();
+  // Phase 3: scoring — reward math over the verdicts — fans out over the
+  // pool. Each task writes only its own rollout's Score slot, so the result
+  // is identical to the serial loop.
   auto ScoreStart = std::chrono::steady_clock::now();
   {
     TraceSpan ScoreSpan("grpo.score");
@@ -111,7 +130,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     ScoreSpan.arg(
         TraceArg::ofInt("rollouts", static_cast<int64_t>(Rollouts.size())));
     auto ScoreOne = [&](size_t I) {
-      Rollouts[I].Score = Reward(*Rollouts[I].S, Rollouts[I].C);
+      Rollout &Ro = Rollouts[I];
+      Ro.Score = Reward(*Ro.S, Ro.C, Ro.Verdicts);
     };
     if (Opts.Pool && Opts.Threads > 1)
       Opts.Pool->parallelFor(Rollouts.size(), ScoreOne);
@@ -136,9 +156,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     if (AV.RetryTier > 0)
       ++Escalations;
     MaxTier = std::max(MaxTier, AV.RetryTier);
-    if (AV.Status == VerifyStatus::Inconclusive &&
-        (AV.Kind == DiagKind::SolverTimeout ||
-         AV.Kind == DiagKind::ResourceExhausted))
+    if (LadderOptions::retryable(AV))
       ++TerminalInconclusive;
     if (Opts.OnRollout)
       Opts.OnRollout(*Ro.S, Ro.C, Ro.Score);
@@ -198,8 +216,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   Log.ScoreWallMs =
       std::chrono::duration<double, std::milli>(ScoreEnd - ScoreStart)
           .count();
-  if (Opts.Cache) {
-    VerifyCache::Counters After = Opts.Cache->counters();
+  if (Opts.Verify.Cache) {
+    VerifyCache::Counters After = Opts.Verify.Cache->counters();
     uint64_t Lookups = After.lookups() - Before.lookups();
     Log.CacheHitRate =
         Lookups ? static_cast<double>(After.Hits - Before.Hits) / Lookups

@@ -16,12 +16,11 @@
 #include "rl/Reward.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
+#include "verify/Ladder.h"
 
 #include <functional>
 
 namespace veriopt {
-
-class BatchVerifier;
 
 /// What a stage-specific reward evaluation returns for one completion.
 struct RolloutScore {
@@ -32,12 +31,25 @@ struct RolloutScore {
   VerifyResult AnswerVerify;
 };
 
-/// Stage-specific reward: (sample, completion) -> score. Scoring fans out
-/// over a thread pool when GRPOOptions::Threads > 1, so the function must
-/// be safe to call concurrently on distinct completions (shared state needs
-/// its own synchronization — or better, use GRPOOptions::OnRollout, which
-/// runs sequentially).
-using RewardFn = std::function<RolloutScore(const Sample &, Completion &)>;
+/// What the trainer's group verification hands the reward for one rollout.
+struct RolloutVerdicts {
+  /// The parsed answer (always set; shared by byte-identical answers in the
+  /// group, so the reward's copy check and latency model never reparse).
+  const Candidate *Answer = nullptr;
+  /// Alive's verdict on the answer; default-constructed when the completion
+  /// failed the format gate (the answer is then never verified).
+  VerifyResult AnswerVerify;
+  /// Alive's verdict on the <think> attempt (augmented mode only).
+  VerifyResult AttemptVerify;
+};
+
+/// Stage-specific reward: pure math over (sample, completion, verdicts).
+/// Scoring fans out over a thread pool when GRPOOptions::Threads > 1, so the
+/// function must be safe to call concurrently on distinct completions
+/// (shared state needs its own synchronization — or better, use
+/// GRPOOptions::OnRollout, which runs sequentially).
+using RewardFn = std::function<RolloutScore(
+    const Sample &, const Completion &, const RolloutVerdicts &)>;
 
 /// Sequential per-rollout observer, invoked after the (possibly parallel)
 /// scoring phase in deterministic rollout order. The place for stateful
@@ -55,22 +67,18 @@ struct GRPOOptions {
   PromptMode Mode = PromptMode::Generic;
   uint64_t Seed = 11;
 
-  /// Rollout-scoring parallelism. Generation stays sequential (each rollout
-  /// draws from an RNG derived from (Seed, Step, PromptIdx, G)), so the
-  /// trained model and the log's reward/equivalence values are bit-identical
-  /// at any thread count.
+  /// Verification and scoring parallelism. Generation stays sequential
+  /// (each rollout draws from an RNG derived from (Seed, Step, PromptIdx,
+  /// G)), so the trained model and the log's reward/equivalence values are
+  /// bit-identical at any thread count.
   unsigned Threads = 1;
-  /// Shared scoring pool; when null and Threads > 1 the trainer owns one.
+  /// Shared pool; when null and Threads > 1 the trainer owns one.
   ThreadPool *Pool = nullptr;
-  /// Verification memo consulted by the reward (via the reward factories);
-  /// referenced here only to report per-step hit rates in the log.
-  VerifyCache *Cache = nullptr;
-  /// Batched group verification: when set (and Cache is set), each prompt
-  /// group's candidates are pre-verified through one shared solver context
-  /// between generation and scoring, seeding the cache the reward then
-  /// replays from. Verdicts are bit-identical with or without it, so the
-  /// trained model and the log never depend on this knob.
-  BatchVerifier *Batch = nullptr;
+  /// The retry ladder each prompt group is verified through (budgets,
+  /// optional cache and fault injector). Every answer that passes the
+  /// format gate, and every think-attempt in augmented mode, is verified
+  /// exactly once per step, before scoring.
+  LadderOptions Verify;
   /// Optional sequential observer of every scored rollout.
   RolloutHook OnRollout;
   /// Stage label stamped onto this trainer's trace events ("stage1"...);
@@ -88,8 +96,9 @@ struct TrainLogEntry {
   double CopyRate = 0;
   double GradNorm = 0;
 
-  // Scoring-phase instrumentation (not part of the determinism guarantee:
-  // wall time and hit rate depend on thread count and cache history).
+  // Verification/scoring instrumentation (not part of the determinism
+  // guarantee: wall time and hit rate depend on thread count and cache
+  // history).
   double ScoreWallMs = 0;       ///< wall time of the scoring phase
   double CacheHitRate = 0;      ///< verify-cache hits / lookups this step
   unsigned FalsifyWins = 0;     ///< counterexamples found pre-SMT

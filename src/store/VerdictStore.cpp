@@ -57,33 +57,6 @@ Gauge &degradedGauge() {
   return G;
 }
 
-/// uint64 -> fixed 16-digit lowercase hex. JSON numbers are doubles, which
-/// cannot carry a full uint64 (fuel budgets, conflict counts, APInt64 bits)
-/// — so 64-bit fields travel as hex strings, the checkpoint discipline.
-std::string uhex(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-bool unhexU64(const std::string &Hex, uint64_t &Out) {
-  if (Hex.size() != 16)
-    return false;
-  uint64_t V = 0;
-  for (char C : Hex) {
-    V <<= 4;
-    if (C >= '0' && C <= '9')
-      V |= static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      V |= static_cast<uint64_t>(C - 'a' + 10);
-    else
-      return false;
-  }
-  Out = V;
-  return true;
-}
-
 /// Non-negative integral JSON number (the shardResultFromJson discipline:
 /// 1.5 or -3 in a count field is a typed reject, not a truncation).
 bool jsonCount(const JsonValue &O, const char *Key, uint64_t &Out) {
@@ -97,7 +70,7 @@ bool jsonCount(const JsonValue &O, const char *Key, uint64_t &Out) {
 
 bool jsonHex64(const JsonValue &O, const char *Key, uint64_t &Out) {
   const JsonValue *V = O.get(Key);
-  return V && V->isString() && unhexU64(V->str(), Out);
+  return V && V->isString() && parseHex64(V->str(), Out);
 }
 
 bool statusFromName(const std::string &Name, VerifyStatus &Out) {
@@ -177,14 +150,14 @@ std::string VerdictStore::encodeRecord(const std::string &Key,
       P.push_back(',');
     P += "{\"n\":" + jsonString(B.Name) +
          ",\"w\":" + std::to_string(B.Value.width()) +
-         ",\"v\":" + jsonString(uhex(B.Value.zext())) + "}";
+         ",\"v\":" + jsonString(hex64(B.Value.zext())) + "}";
   }
   P += "],\"bounded\":";
   P += R.BoundedOnly ? "true" : "false";
   P += ",\"falsified\":";
   P += R.FoundByFalsification ? "true" : "false";
-  P += ",\"conflicts\":" + jsonString(uhex(R.SolverConflicts));
-  P += ",\"fuel\":" + jsonString(uhex(R.FuelSpent));
+  P += ",\"conflicts\":" + jsonString(hex64(R.SolverConflicts));
+  P += ",\"fuel\":" + jsonString(hex64(R.FuelSpent));
   P += ",\"tier\":" + std::to_string(R.RetryTier);
   P.push_back('}');
 

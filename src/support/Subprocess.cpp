@@ -43,6 +43,15 @@ std::string SubprocessResult::describe() const {
 
 namespace {
 
+/// SIGKILL the child's whole process group — it leads one (see spawn), and
+/// the exec handshake guarantees it did so before spawn returned — so the
+/// grandchildren it started die with it instead of outliving the
+/// supervisor with inherited pipes held open.
+void killGroup(pid_t Pid) {
+  if (::killpg(Pid, SIGKILL) < 0)
+    ::kill(Pid, SIGKILL);
+}
+
 /// EINTR-safe read.
 ssize_t readRetry(int Fd, void *Buf, size_t N) {
   ssize_t R;
@@ -113,8 +122,10 @@ bool Subprocess::spawn(const SubprocessOptions &Opts) {
     return false;
   }
   if (Child == 0) {
-    // Child: stderr -> capture pipe, then exec. Only async-signal-safe
-    // calls between fork and exec.
+    // Child: lead a fresh process group (so a deadline kill reaches every
+    // descendant), stderr -> capture pipe, then exec. Only
+    // async-signal-safe calls between fork and exec.
+    ::setpgid(0, 0);
     ::close(ErrPipe[0]);
     ::close(ExecPipe[0]);
     while (::dup2(ErrPipe[1], STDERR_FILENO) < 0 && errno == EINTR) {
@@ -231,7 +242,7 @@ bool Subprocess::poll() {
                        std::chrono::steady_clock::now() - Start)
                        .count();
     if (static_cast<uint64_t>(Elapsed) >= DeadlineMs) {
-      ::kill(Pid, SIGKILL);
+      killGroup(Pid);
       DeadlineKilled = true;
       // The next waitpid (here or in wait()) reaps it as TimedOut.
     }
@@ -260,7 +271,7 @@ const SubprocessResult &Subprocess::wait() {
 
 void Subprocess::killAndReap() {
   if (!Finished && Pid > 0) {
-    ::kill(Pid, SIGKILL);
+    killGroup(Pid);
     int Status = 0;
     pid_t R;
     do

@@ -15,8 +15,10 @@
 //  - Signaled(sig): crashed or killed.
 //  - TimedOut: the deadline elapsed; the child was SIGKILLed and reaped.
 //
-// The destructor guarantees no zombies: a still-running child is killed
-// and reaped before the object dies.
+// The child leads its own process group, and every kill (deadline or
+// destructor) goes to the whole group: grandchildren the child started die
+// with it. The destructor guarantees no zombies: a still-running child is
+// killed and reaped before the object dies.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +38,8 @@ struct SubprocessOptions {
   /// argv[0] is the program (execvp semantics: PATH search applies when it
   /// contains no '/').
   std::vector<std::string> Argv;
-  /// Wall-clock budget in ms; 0 = unlimited. On expiry the child is
-  /// SIGKILLed and the outcome is TimedOut.
+  /// Wall-clock budget in ms; 0 = unlimited. On expiry the child's process
+  /// group is SIGKILLed and the outcome is TimedOut.
   uint64_t DeadlineMs = 0;
   /// Stderr capture cap; anything beyond it is discarded (but still read,
   /// so the child never blocks on a full pipe) and flagged as truncated.
@@ -98,7 +100,8 @@ public:
   /// supervisors can poll(2) it to sleep until something happens.
   int stderrFd() const { return ErrFd; }
 
-  /// SIGKILL the child (if running) and reap it. Safe to call repeatedly.
+  /// SIGKILL the child's process group (if the child is running) and reap
+  /// the child. Safe to call repeatedly.
   void killAndReap();
 
 private:

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace veriopt {
@@ -67,6 +68,44 @@ std::string jsonNumber(double V) {
   char Buf[40];
   std::snprintf(Buf, sizeof(Buf), "%.17g", V);
   return Buf;
+}
+
+std::string hex64(uint64_t V) {
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(V));
+  return Buf;
+}
+
+bool parseHex64(const std::string &S, uint64_t &Out) {
+  if (S.size() != 16)
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    V <<= 4;
+    if (C >= '0' && C <= '9')
+      V |= static_cast<uint64_t>(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      V |= static_cast<uint64_t>(C - 'a' + 10);
+    else
+      return false;
+  }
+  Out = V;
+  return true;
+}
+
+std::string hexDouble(double D) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &D, sizeof(Bits));
+  return hex64(Bits);
+}
+
+bool parseHexDouble(const std::string &S, double &Out) {
+  uint64_t Bits;
+  if (!parseHex64(S, Bits))
+    return false;
+  std::memcpy(&Out, &Bits, sizeof(Out));
+  return true;
 }
 
 const JsonValue *JsonValue::get(const std::string &Key) const {

@@ -33,6 +33,15 @@ inline std::string jsonString(const std::string &S) {
 /// those clamp to the largest finite double, keeping writers total).
 std::string jsonNumber(double V);
 
+/// A 64-bit value as exactly 16 lowercase hex digits: the exact channel
+/// for fields a JSON double cannot carry (full uint64s, and doubles as
+/// their IEEE-754 bit pattern, which text formatting must never perturb).
+std::string hex64(uint64_t V);
+/// Inverse of hex64: accepts exactly 16 lowercase hex digits.
+bool parseHex64(const std::string &S, uint64_t &Out);
+std::string hexDouble(double D);
+bool parseHexDouble(const std::string &S, double &Out);
+
 /// A parsed JSON value.
 class JsonValue {
 public:

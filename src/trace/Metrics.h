@@ -1,8 +1,8 @@
 //===- Metrics.h - Counters, gauges and histograms ---------------*- C++ -*-=//
 //
-// A process-wide registry of named instruments, absorbing the ad-hoc stats
-// that PR 1 and PR 2 hand-threaded through TrainLogEntry, PipelineArtifacts,
-// VerifyCache::Counters and RobustVerifier::Counters into one queryable,
+// A process-wide registry of named instruments: the run's counters live
+// here rather than being hand-threaded through TrainLogEntry,
+// PipelineArtifacts or per-object counter structs — one queryable,
 // serializable place. Instruments are created on first use and never
 // removed (reset() zeroes values, so cached references stay valid — the
 // intended hot-path idiom is a function-local

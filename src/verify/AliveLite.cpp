@@ -2,6 +2,8 @@
 
 #include "verify/AliveLite.h"
 
+#include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "verify/RefinementQuery.h"
 
 namespace veriopt {
@@ -50,11 +52,22 @@ const char *verifyStatusName(VerifyStatus S) {
   return "unknown";
 }
 
-/// The implementation lives in RefinementQuery.cpp: both public entry
+Candidate::Candidate(std::string Text, bool Parse) : Text(std::move(Text)) {
+  if (Parse) {
+    auto Parsed = parseModule(this->Text);
+    if (Parsed)
+      M = Parsed.takeValue();
+    else
+      ParseError = Parsed.error().render();
+  }
+  Canon = M ? printModule(*M, /*NameFree=*/true) : this->Text;
+}
+
+/// The implementation lives in RefinementQuery.cpp: these public entry
 /// points are thin wrappers that build a fresh, exclusively-owned source
-/// encoding per call. BatchVerifier reuses the same machinery with one
-/// shared encoding per group; the results are bit-identical by
-/// construction (see RefinementQuery.h).
+/// encoding per call. The group verifier (verify/Ladder.h) reuses the same
+/// machinery with one shared encoding per group; the results are
+/// bit-identical by construction (see RefinementQuery.h).
 
 VerifyResult verifyRefinement(const Function &Src, const Function &Tgt,
                               const VerifyOptions &Opts) {
@@ -65,7 +78,15 @@ VerifyResult verifyRefinement(const Function &Src, const Function &Tgt,
 VerifyResult verifyCandidateText(const Function &Src,
                                  const std::string &TgtText,
                                  const VerifyOptions &Opts) {
-  return verifyCandidateTextOn(nullptr, Src, TgtText, Opts);
+  // An oversized text is rejected by the guard chain before any parse.
+  bool Oversized =
+      Opts.MaxCandidateBytes > 0 && TgtText.size() > Opts.MaxCandidateBytes;
+  return verifyCandidate(Src, Candidate(TgtText, !Oversized), Opts);
+}
+
+VerifyResult verifyCandidate(const Function &Src, const Candidate &C,
+                             const VerifyOptions &Opts) {
+  return verifyCandidateOn(nullptr, Src, C, Opts);
 }
 
 } // namespace veriopt

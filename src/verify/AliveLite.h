@@ -25,6 +25,7 @@
 #include "support/APInt64.h"
 #include "support/Fuel.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,10 +101,33 @@ struct VerifyResult {
   /// untracked); reported for telemetry and the retry ladder's tiering.
   uint64_t FuelSpent = 0;
   /// Retry-ladder tier that produced this verdict (0 = first attempt).
-  /// Set by RobustVerifier; plain verifyCandidateText always reports 0.
+  /// Set by the retry ladder (verify/Ladder.h); plain verification always
+  /// reports 0.
   unsigned RetryTier = 0;
 
   bool equivalent() const { return Status == VerifyStatus::Equivalent; }
+};
+
+/// One candidate text (an LLM emission), parsed once. The verifier's guard
+/// chain, every cache key, the reward's copy check and latency model, and
+/// evaluation's kept output all read this one parse.
+struct Candidate {
+  std::string Text;
+  /// The parsed module, names intact; null when the text did not parse.
+  std::unique_ptr<Module> M;
+  std::string ParseError; ///< rendered parser error when M is null
+  /// Name-free reprint of M — whitespace and naming variants of the same IR
+  /// collapse to one string — or the raw text when it did not parse.
+  std::string Canon;
+
+  /// Parse \p Text. With \p Parse false the text is kept unparsed (the
+  /// verifier's size guard rejects it before any parse).
+  explicit Candidate(std::string Text, bool Parse = true);
+
+  /// The function under test, or null.
+  const Function *function() const {
+    return M ? M->getMainFunction() : nullptr;
+  }
 };
 
 /// Verify that \p Tgt refines \p Src. Both must be well-formed; this is the
@@ -117,6 +141,10 @@ VerifyResult verifyRefinement(const Function &Src, const Function &Tgt,
 VerifyResult verifyCandidateText(const Function &Src,
                                  const std::string &TgtText,
                                  const VerifyOptions &Opts = VerifyOptions());
+
+/// verifyCandidateText over an already parsed candidate.
+VerifyResult verifyCandidate(const Function &Src, const Candidate &C,
+                             const VerifyOptions &Opts = VerifyOptions());
 
 } // namespace veriopt
 

@@ -1,0 +1,233 @@
+//===- Ladder.cpp - The escalating-budget verification ladder -------------===//
+
+#include "verify/Ladder.h"
+
+#include "support/ThreadPool.h"
+#include "trace/Metrics.h"
+#include "trace/Trace.h"
+
+#include <mutex>
+#include <string_view>
+#include <unordered_map>
+
+namespace veriopt {
+
+namespace {
+
+/// Scale a budget by Growth^Tier, saturating instead of overflowing.
+/// 0 means "unlimited" and stays 0.
+uint64_t scaleBudget(uint64_t Budget, uint64_t Growth, unsigned Tier) {
+  if (Budget == 0 || Growth <= 1)
+    return Budget;
+  for (unsigned I = 0; I < Tier; ++I) {
+    if (Budget > UINT64_MAX / Growth)
+      return UINT64_MAX;
+    Budget *= Growth;
+  }
+  return Budget;
+}
+
+} // namespace
+
+VerifyOptions LadderOptions::tierOptions(unsigned Tier) const {
+  VerifyOptions T = Base;
+  T.SolverConflictBudget = scaleBudget(T.SolverConflictBudget, BudgetGrowth,
+                                       Tier);
+  T.FuelBudget = scaleBudget(T.FuelBudget, BudgetGrowth, Tier);
+  return T;
+}
+
+LadderOutcome runLadder(const LadderOptions &L, const std::string &SrcText,
+                        const Function &Src, const Candidate &C,
+                        const EncodingProvider &GetSC) {
+  LadderOutcome Out;
+  // Fault keys are content-derived, so injection decisions are identical
+  // for identical queries regardless of thread schedule or arrival order.
+  const std::string FaultKey = SrcText + '\x1f' + C.Text;
+
+  const unsigned MaxTiers = L.MaxTiers ? L.MaxTiers : 1;
+  uint64_t TotalConflicts = 0, TotalFuel = 0;
+  VerifyResult Final;
+  for (unsigned Tier = 0; Tier < MaxTiers; ++Tier) {
+    VerifyResult R;
+    bool Injected = false;
+    if (Tier == 0 && L.Faults &&
+        L.Faults->shouldInject(FaultSite::OracleBudget, FaultKey)) {
+      // Simulated oracle budget exhaustion: the first attempt reports
+      // ResourceExhausted without running (and without touching the cache),
+      // and the ladder must recover by escalating exactly as it would for
+      // a genuinely hard candidate.
+      R.Status = VerifyStatus::Inconclusive;
+      R.Kind = DiagKind::ResourceExhausted;
+      R.Diagnostic = "Inconclusive: injected oracle budget exhaustion\n";
+      Injected = true;
+      Out.FaultInjected = true;
+    } else {
+      const VerifyOptions TierOpts = L.tierOptions(Tier);
+      auto Compute = [&] {
+        return verifyCandidateOn(GetSC, Src, C, TierOpts);
+      };
+      bool Computed = true;
+      R = L.Cache ? L.Cache->lookupOrCompute(
+                        VerifyCache::makeKey(SrcText, C, TierOpts), Compute,
+                        &Computed)
+                  : Compute();
+      ++(Computed ? Out.Computed : Out.CacheHits);
+    }
+
+    Out.Tiers.push_back({Tier, R.Status, R.Kind, R.SolverConflicts,
+                         R.FuelSpent, Injected});
+    TotalConflicts += R.SolverConflicts;
+    TotalFuel += R.FuelSpent;
+    Final = std::move(R);
+    Final.RetryTier = Tier;
+    if (!LadderOptions::retryable(Final))
+      break;
+  }
+  Out.Escalated = Out.Tiers.size() > 1;
+
+  // Simulated oracle bug: flip a definitive verdict. The trainer must
+  // tolerate occasional wrong rewards with bounded impact (GRPO's group
+  // baseline absorbs them); this site lets tests prove that.
+  if (L.Faults && (Final.Status == VerifyStatus::Equivalent ||
+                   Final.Status == VerifyStatus::NotEquivalent) &&
+      L.Faults->shouldInject(FaultSite::VerdictFlip, FaultKey)) {
+    Out.FaultInjected = true;
+    if (Final.Status == VerifyStatus::Equivalent) {
+      Final.Status = VerifyStatus::NotEquivalent;
+      Final.Kind = DiagKind::ValueMismatch;
+    } else {
+      Final.Status = VerifyStatus::Equivalent;
+      Final.Kind = DiagKind::None;
+      Final.Counterexample.clear();
+    }
+    Final.Diagnostic += "(injected verdict flip)\n";
+  }
+
+  Final.SolverConflicts = TotalConflicts;
+  Final.FuelSpent = TotalFuel;
+  Out.Result = std::move(Final);
+  return Out;
+}
+
+void recordLadderTelemetry(const LadderOutcome &O) {
+  TraceRecorder &TR = TraceRecorder::instance();
+  for (const RetryTierOutcome &T : O.Tiers)
+    TR.instant("verify.tier",
+               {TraceArg::ofInt("tier", T.Tier),
+                TraceArg::ofStr("status", verifyStatusName(T.Status)),
+                TraceArg::ofStr("diag", diagKindName(T.Kind)),
+                TraceArg::ofInt("conflicts",
+                                static_cast<int64_t>(T.SolverConflicts)),
+                TraceArg::ofInt("fuel", static_cast<int64_t>(T.FuelSpent)),
+                TraceArg::ofBool("injected", T.Injected)});
+
+  MetricsRegistry &Reg = MetricsRegistry::global();
+  static Counter &MQueries = Reg.counter("verify.retry.queries");
+  static Counter &MEscalations = Reg.counter("verify.retry.escalations");
+  static Counter &MRescued = Reg.counter("verify.retry.rescued");
+  static Counter &MTerminal =
+      Reg.counter("verify.retry.terminal_inconclusive");
+  MQueries.inc();
+  // A verdict flip only swaps definitive verdicts, so the final result
+  // still tells whether the ladder ran out of budget.
+  const bool Terminal = LadderOptions::retryable(O.Result);
+  if (O.Escalated)
+    MEscalations.inc();
+  if (Terminal)
+    MTerminal.inc();
+  else if (O.Escalated)
+    MRescued.inc();
+}
+
+LadderOutcome verifyWithLadder(const LadderOptions &L,
+                               const std::string &SrcText,
+                               const Function &Src,
+                               const std::string &TgtText) {
+  LadderOutcome Out = runLadder(L, SrcText, Src, Candidate(TgtText), nullptr);
+  recordLadderTelemetry(Out);
+  return Out;
+}
+
+std::vector<LadderOutcome>
+verifyGroup(const LadderOptions &L, const std::string &SrcText,
+            const Function &Src, const std::vector<const Candidate *> &Cands,
+            ThreadPool *Pool, GroupStats *Stats) {
+  TraceSpan Span("batch.verify");
+
+  // Canonical dedupe: GRPO's small action space makes byte- or
+  // renaming-identical candidates common within a group; they share every
+  // per-tier cache key, so one ladder serves all of them. Fault sites key on
+  // the raw text, so under injection only byte-identical candidates share.
+  std::vector<size_t> UniqueOf(Cands.size());
+  std::vector<const Candidate *> Unique;
+  {
+    std::unordered_map<std::string_view, size_t> Seen;
+    for (size_t I = 0; I < Cands.size(); ++I) {
+      const std::string &Key = L.Faults ? Cands[I]->Text : Cands[I]->Canon;
+      auto [It, Inserted] = Seen.emplace(Key, Unique.size());
+      if (Inserted)
+        Unique.push_back(Cands[I]);
+      UniqueOf[I] = It->second;
+    }
+  }
+
+  // The shared source half is built on first need: a group whose every
+  // rung is cached, or whose candidates all fail the guard chain, never
+  // pays for it.
+  std::unique_ptr<SourceEncoding> SC;
+  std::once_flag SCOnce;
+  EncodingProvider Shared = [&]() -> SourceEncoding * {
+    std::call_once(SCOnce,
+                   [&] { SC = buildSourceEncoding(Src, L.tierOptions(0)); });
+    return SC.get();
+  };
+
+  // One task per unique candidate: its full ladder runs on one thread, so
+  // per-candidate trace spans stay contiguous.
+  std::vector<LadderOutcome> Outs(Unique.size());
+  auto RunOne = [&](size_t U) {
+    Outs[U] = runLadder(L, SrcText, Src, *Unique[U], Shared);
+  };
+  if (Pool && Pool->numThreads() > 1)
+    Pool->parallelFor(Unique.size(), RunOne);
+  else
+    for (size_t U = 0; U < Unique.size(); ++U)
+      RunOne(U);
+
+  GroupStats GS;
+  GS.Candidates = static_cast<unsigned>(Cands.size());
+  GS.Unique = static_cast<unsigned>(Unique.size());
+  for (const LadderOutcome &O : Outs) {
+    GS.CacheHits += O.CacheHits;
+    GS.Computed += O.Computed;
+  }
+  if (Stats)
+    *Stats = GS;
+
+  MetricsRegistry &M = MetricsRegistry::global();
+  static Counter &Groups = M.counter("batch.groups");
+  static Counter &Candidates = M.counter("batch.candidates");
+  static Counter &Uniq = M.counter("batch.unique");
+  static Counter &CacheHits = M.counter("batch.cache_hits");
+  static Counter &Computed = M.counter("batch.computed");
+  Groups.inc();
+  Candidates.inc(GS.Candidates);
+  Uniq.inc(GS.Unique);
+  CacheHits.inc(GS.CacheHits);
+  Computed.inc(GS.Computed);
+
+  if (Span.active()) {
+    Span.arg(TraceArg::ofInt("candidates", GS.Candidates));
+    Span.arg(TraceArg::ofInt("unique", GS.Unique));
+    Span.arg(TraceArg::ofInt("cached", GS.CacheHits));
+    Span.arg(TraceArg::ofInt("computed", GS.Computed));
+  }
+
+  std::vector<LadderOutcome> Aligned(Cands.size());
+  for (size_t I = 0; I < Cands.size(); ++I)
+    Aligned[I] = Outs[UniqueOf[I]];
+  return Aligned;
+}
+
+} // namespace veriopt

@@ -2,7 +2,6 @@
 
 #include "verify/RefinementQuery.h"
 
-#include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "support/RNG.h"
 #include "trace/Metrics.h"
@@ -550,29 +549,27 @@ VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
 }
 
 static VerifyResult
-verifyCandidateTextOnImpl(const std::function<SourceEncoding *()> &GetSC,
-                          const Function &Src, const std::string &TgtText,
-                          const VerifyOptions &Opts) {
+verifyCandidateOnImpl(const EncodingProvider &GetSC, const Function &Src,
+                      const Candidate &C, const VerifyOptions &Opts) {
   VerifyResult Out;
   // Adversarial-emission guard: refuse pathologically large candidates
-  // before paying any parse cost.
-  if (Opts.MaxCandidateBytes > 0 && TgtText.size() > Opts.MaxCandidateBytes) {
+  // (verifyCandidateText does not even parse them).
+  if (Opts.MaxCandidateBytes > 0 && C.Text.size() > Opts.MaxCandidateBytes) {
     Out.Status = VerifyStatus::SyntaxError;
     Out.Kind = DiagKind::ParseError;
     Out.Diagnostic = header(Src) + "ERROR: Candidate exceeds maximum size (" +
-                     std::to_string(TgtText.size()) + " > " +
+                     std::to_string(C.Text.size()) + " > " +
                      std::to_string(Opts.MaxCandidateBytes) + " bytes)\n";
     return Out;
   }
-  auto M = parseModule(TgtText);
-  if (!M) {
+  if (!C.M) {
     Out.Status = VerifyStatus::SyntaxError;
     Out.Kind = DiagKind::ParseError;
     Out.Diagnostic = header(Src) + "ERROR: Could not parse transformed IR (" +
-                     M.error().render() + ")\n";
+                     C.ParseError + ")\n";
     return Out;
   }
-  Function *Tgt = M.value()->getMainFunction();
+  const Function *Tgt = C.function();
   if (!Tgt) {
     Out.Status = VerifyStatus::SyntaxError;
     Out.Kind = DiagKind::ParseError;
@@ -607,12 +604,11 @@ verifyCandidateTextOnImpl(const std::function<SourceEncoding *()> &GetSC,
   return verifyAgainstEncoding(*Fresh, *Tgt, Opts, /*Shared=*/false);
 }
 
-VerifyResult verifyCandidateTextOn(const std::function<SourceEncoding *()> &GetSC,
-                                   const Function &Src,
-                                   const std::string &TgtText,
-                                   const VerifyOptions &Opts) {
+VerifyResult verifyCandidateOn(const EncodingProvider &GetSC,
+                               const Function &Src, const Candidate &C,
+                               const VerifyOptions &Opts) {
   TraceSpan Span("verify.candidate");
-  VerifyResult Out = verifyCandidateTextOnImpl(GetSC, Src, TgtText, Opts);
+  VerifyResult Out = verifyCandidateOnImpl(GetSC, Src, C, Opts);
   if (Span.active()) {
     Span.arg(TraceArg::ofStr("status", verifyStatusName(Out.Status)));
     Span.arg(TraceArg::ofStr("diag", diagKindName(Out.Kind)));

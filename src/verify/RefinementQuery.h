@@ -10,8 +10,8 @@
 // the verdict, DiagKind, diagnostic text, counterexample, SolverConflicts
 // and FuelSpent are identical whether the encoding is built fresh per call
 // (the sequential oracle, verifyRefinement / verifyCandidateText) or shared
-// across a group at any thread count (BatchVerifier). Three mechanisms make
-// that hold:
+// across a group at any thread count (verifyGroup, verify/Ladder.h). Three
+// mechanisms make that hold:
 //  - Fuel replay: the shared source-side work records its fuel charges
 //    once; each candidate replays them against its own budget, so budget
 //    exhaustion happens at exactly the point a fresh run would hit.
@@ -92,16 +92,19 @@ std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
 VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
                                    const VerifyOptions &Opts, bool Shared);
 
-/// verifyCandidateText over a lazily provided encoding: identical guard
-/// chain, verify.candidate span, and verify.* metrics. \p GetSC is invoked
-/// only after the guard chain passes — candidates rejected at the
-/// parse/screen stage never pay source-side work, shared encoding or not.
-/// A null/empty provider (or one returning null) builds a fresh private
-/// encoding after the guards pass (the sequential path).
-VerifyResult
-verifyCandidateTextOn(const std::function<SourceEncoding *()> &GetSC,
-                      const Function &Src, const std::string &TgtText,
-                      const VerifyOptions &Opts);
+/// Supplies the source half a candidate is verified against: a shared
+/// encoding (group mode), or null for a fresh private one per call.
+using EncodingProvider = std::function<SourceEncoding *()>;
+
+/// verifyCandidate over a lazily provided encoding: the guard chain (size,
+/// parse, structure), the verify.candidate span, and the verify.* metrics.
+/// \p GetSC is invoked only after the guard chain passes — candidates
+/// rejected at the parse/screen stage never pay source-side work, shared
+/// encoding or not. A null/empty provider (or one returning null) builds a
+/// fresh private encoding after the guards pass (the sequential oracle).
+VerifyResult verifyCandidateOn(const EncodingProvider &GetSC,
+                               const Function &Src, const Candidate &C,
+                               const VerifyOptions &Opts);
 
 } // namespace veriopt
 

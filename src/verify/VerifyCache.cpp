@@ -2,8 +2,6 @@
 
 #include "verify/VerifyCache.h"
 
-#include "ir/Parser.h"
-#include "ir/Printer.h"
 #include "trace/Metrics.h"
 
 #include <sstream>
@@ -36,29 +34,8 @@ Counter &evictionCounter() {
 } // namespace
 
 std::string VerifyCache::makeKey(const std::string &SrcText,
-                                 const std::string &TgtText,
+                                 const Candidate &C,
                                  const VerifyOptions &Opts) {
-  // Canonical candidate text: parse, alpha-rename (drop all value/block
-  // names so the printer's sequential %N numbering takes over), and
-  // re-print — whitespace and naming variants of the same IR collapse to
-  // one entry. Parse failures key on the raw text (their result depends on
-  // it only through "unparseable").
-  std::string Canon;
-  if (auto M = parseModule(TgtText)) {
-    for (const auto &F : M.value()->functions()) {
-      for (unsigned I = 0; I < F->getNumParams(); ++I)
-        F->getArg(I)->setName("");
-      for (auto &BB : *F) {
-        BB->setName("");
-        for (auto &Inst : *BB)
-          Inst->setName("");
-      }
-    }
-    Canon = printModule(*M.value());
-  } else {
-    Canon = TgtText;
-  }
-
   // Every budget knob is part of the key: a low-tier Inconclusive must never
   // be served for a higher-tier query (or vice versa) when the retry ladder
   // re-asks the same candidate under a bigger budget.
@@ -72,15 +49,22 @@ std::string VerifyCache::makeKey(const std::string &SrcText,
   Key.push_back('\x1f');
   Key += SrcText;
   Key.push_back('\x1f');
-  Key += Canon;
+  Key += C.Canon;
   return Key;
 }
 
-VerifyResult VerifyCache::verify(const std::string &SrcText,
-                                 const Function &Src,
+std::string VerifyCache::makeKey(const std::string &SrcText,
                                  const std::string &TgtText,
                                  const VerifyOptions &Opts) {
-  std::string Key = makeKey(SrcText, TgtText, Opts);
+  return makeKey(SrcText, Candidate(TgtText), Opts);
+}
+
+VerifyResult
+VerifyCache::lookupOrCompute(const std::string &Key,
+                             const std::function<VerifyResult()> &Compute,
+                             bool *Computed) {
+  if (Computed)
+    *Computed = false;
 
   // Injected cache miss: bypass the memo entirely (no lookup, no store, no
   // single-flight). Deterministic per key, so every thread asking for this
@@ -97,7 +81,9 @@ VerifyResult VerifyCache::verify(const std::string &SrcText,
       ++Stats.Misses;
     }
     missCounter().inc();
-    return verifyCandidateText(Src, TgtText, Opts);
+    if (Computed)
+      *Computed = true;
+    return Compute();
   }
 
   std::shared_ptr<InFlight> Slot;
@@ -144,7 +130,9 @@ VerifyResult VerifyCache::verify(const std::string &SrcText,
   VerifyResult Result;
   bool FromStore = Tier && !FI && Tier->lookup(Key, Result);
   if (!FromStore) {
-    Result = verifyCandidateText(Src, TgtText, Opts);
+    Result = Compute();
+    if (Computed)
+      *Computed = true;
     // Write-behind: report the fresh verdict; the tier buffers and batches
     // its own journal appends, so this is an in-memory append here.
     if (Tier && !FI)
@@ -154,14 +142,14 @@ VerifyResult VerifyCache::verify(const std::string &SrcText,
   {
     std::lock_guard<std::mutex> L(M);
     LRU.emplace_front(Key, Result);
-    Index.emplace(std::move(Key), LRU.begin());
+    Index.emplace(Key, LRU.begin());
     while (Capacity && LRU.size() > Capacity) {
       Index.erase(LRU.back().first);
       LRU.pop_back();
       ++Stats.Evictions;
       evictionCounter().inc();
     }
-    Pending.erase(LRU.front().first);
+    Pending.erase(Key);
   }
   {
     std::lock_guard<std::mutex> L(Slot->M);
@@ -170,58 +158,6 @@ VerifyResult VerifyCache::verify(const std::string &SrcText,
   }
   Slot->ReadyCV.notify_all();
   return Result;
-}
-
-bool VerifyCache::peek(const std::string &Key, VerifyResult &Out) {
-  VerdictBackingTier *Tier;
-  {
-    std::lock_guard<std::mutex> L(M);
-    if (Faults && Faults->shouldInject(FaultSite::CacheMiss, Key))
-      return false;
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
-      Out = It->second->second;
-      return true;
-    }
-    if (Faults || !Store)
-      return false;
-    Tier = Store;
-  }
-  // Memo miss with a durable tier attached: probe it outside the cache
-  // mutex (the tier does its own locking) and memoize a hit via the silent
-  // seed path, so repeated batch peeks of a warm key stop paying the store
-  // index lookup.
-  if (!Tier->lookup(Key, Out))
-    return false;
-  seed(Key, Out);
-  return true;
-}
-
-void VerifyCache::seed(const std::string &Key, const VerifyResult &R) {
-  VerdictBackingTier *Tier = nullptr;
-  {
-    std::lock_guard<std::mutex> L(M);
-    if (Faults && Faults->shouldInject(FaultSite::CacheMiss, Key))
-      return;
-    if (!Faults)
-      Tier = Store;
-    if (!Index.count(Key)) {
-      LRU.emplace_front(Key, R);
-      Index.emplace(Key, LRU.begin());
-      while (Capacity && LRU.size() > Capacity) {
-        Index.erase(LRU.back().first);
-        LRU.pop_back();
-        ++Stats.Evictions;
-        evictionCounter().inc();
-      }
-    }
-  }
-  // Write-behind for batch-computed verdicts too: the batch pass is where
-  // evaluation pays its verification, so without this a worker fleet would
-  // never warm the store. The tier dedupes (a key it already holds is a
-  // no-op), so seeding a store-served result does not re-journal it.
-  if (Tier)
-    Tier->put(Key, R);
 }
 
 VerifyCache::Counters VerifyCache::counters() const {

@@ -1,21 +1,20 @@
 //===- VerifyCache.h - Memoized candidate verification -----------*- C++ -*-=//
 //
-// A thread-safe LRU memo in front of verifyCandidateText for the GRPO
-// rollout-scoring hot path. GRPO's small action space makes many rollouts
-// in a group byte-identical (and the Copy action exactly reproduces the
-// prompt), so the same (source, candidate) pair is verified over and over;
+// A thread-safe LRU memo under the retry ladder (verify/Ladder.h): one
+// entry per (source, candidate, rung budget). GRPO's small action space
+// makes the same (source, candidate) pair recur across steps and stages, so
 // one symbolic-encode + CDCL call can stand in for all of them.
 //
-// Keys are the source text plus the *canonically re-printed* candidate
-// (parse + print), so whitespace or value-numbering variants of the same IR
-// share an entry; unparseable candidates key on their raw text. The full
+// Keys are the source text plus the candidate's *canonical* (name-free)
+// reprint, so whitespace or value-naming variants of the same IR share an
+// entry; unparseable candidates key on their raw text. The full
 // VerifyOptions budget is part of the key: results under different budgets
 // are never conflated, and a cached result is bit-identical to what a fresh
-// verifyCandidateText call would return (verification is deterministic).
+// verifyCandidate call would return (verification is deterministic).
 //
 // Concurrent lookups of the same key single-flight: the first caller
 // computes, the rest block on its result instead of burning duplicate SAT
-// time — exactly the shape of a GRPO group scored in parallel.
+// time (evaluation shards verifying in parallel share one cache).
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +26,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -56,37 +56,27 @@ public:
   /// \p Capacity entries before LRU eviction. 0 means "unbounded".
   explicit VerifyCache(size_t Capacity = 4096) : Capacity(Capacity) {}
 
-  /// Cached front door mirroring verifyCandidateText(Src, TgtText, Opts).
-  /// \p SrcText must be the printed form of \p Src (Sample::SrcText); it is
-  /// the cheap, stable half of the key.
-  VerifyResult verify(const std::string &SrcText, const Function &Src,
-                      const std::string &TgtText, const VerifyOptions &Opts);
-
   /// The cache key for a query: every budget knob, the source text, and the
-  /// canonically re-printed candidate. Public so the batch verifier can
-  /// pre-compute group keys (and dedupe canonical-equal candidates) without
-  /// triggering lookups.
+  /// candidate's canonical (name-free) reprint — or its raw text when it
+  /// does not parse. \p SrcText must be the printed source.
+  static std::string makeKey(const std::string &SrcText, const Candidate &C,
+                             const VerifyOptions &Opts);
+  /// The same key from raw candidate text (parses it once).
   static std::string makeKey(const std::string &SrcText,
                              const std::string &TgtText,
                              const VerifyOptions &Opts);
 
-  /// Silent lookup for the batch pre-verification pass: no hit/miss
-  /// accounting, no LRU touch, no single-flight join. Honors the CacheMiss
-  /// fault site (an injected-missing entry stays invisible here too, so the
-  /// batch recomputes exactly what the scoring pass would). Consults the
-  /// backing store on a memo miss (memoizing a store hit), so a warm
-  /// persistent store pre-warms batch verification too — not just the
-  /// verify() front door.
-  bool peek(const std::string &Key, VerifyResult &Out);
-
-  /// Insert a computed result without counting a miss, so the batch pass
-  /// can pre-warm group verdicts for the scoring pass. No-op when the key
-  /// is resident or its CacheMiss fault fires; evictions count normally.
-  void seed(const std::string &Key, const VerifyResult &R);
+  /// The one lookup: serve \p Key from the memo (joining an in-flight
+  /// computation of the same key), else from the backing store, else run
+  /// \p Compute and record its verdict in both. Counts one hit or one miss.
+  /// \p Computed, when set, reports whether this call ran \p Compute.
+  VerifyResult lookupOrCompute(const std::string &Key,
+                               const std::function<VerifyResult()> &Compute,
+                               bool *Computed = nullptr);
 
   struct Counters {
     uint64_t Hits = 0;      ///< served from the memo (incl. in-flight joins)
-    uint64_t Misses = 0;    ///< paid a full verification
+    uint64_t Misses = 0;    ///< missed the memo (the store may serve it)
     uint64_t Evictions = 0; ///< LRU entries dropped at capacity
     uint64_t lookups() const { return Hits + Misses; }
     double hitRate() const {
@@ -113,10 +103,9 @@ public:
   }
 
   /// Attach a durable tier under the memo (null detaches). Read-through on
-  /// owner misses and silent peeks, write-behind on computed and seeded
-  /// verdicts; single-flight is preserved (the owning thread probes the
-  /// store, joiners still wait on its result). The tier must outlive the
-  /// cache or be detached first.
+  /// owner misses, write-behind on computed verdicts; single-flight is
+  /// preserved (the owning thread probes the store, joiners still wait on
+  /// its result). The tier must outlive the cache or be detached first.
   void setBackingStore(VerdictBackingTier *S) {
     std::lock_guard<std::mutex> L(M);
     Store = S;

@@ -88,13 +88,13 @@ TEST(Evaluation, FallbackGainIsNonNegative) {
 TEST(Evaluation, LyingVerifierVerdictIsDowngradedToInconclusive) {
   // Regression: the reparse after an Equivalent verdict used to be guarded
   // by assert() only — under NDEBUG, takeValue() on the failed ErrorOr was
-  // UB. A verdict the evaluator cannot reparse must be downgraded to
-  // Inconclusive and keep the -O0 fallback.
+  // UB. An Equivalent verdict for an answer with no parsed function must
+  // be downgraded to Inconclusive and keep the -O0 fallback.
   const Sample &S = ds().Valid.front();
   Completion C;
   C.FormatOk = true;
   C.AnswerIR = "this is not IR at all (";
-  CandidateVerifier Lying = [](const Sample &, const std::string &) {
+  CandidateVerifier Lying = [](const Sample &, const Candidate &) {
     VerifyResult VR;
     VR.Status = VerifyStatus::Equivalent; // claims correctness, lies
     return VR;

@@ -1,8 +1,8 @@
 //===- ShardedEvalTest.cpp - Sharded-vs-serial differential guarantees -----===//
 //
 // The contract under test: evaluateModelSharded() is bit-identical to the
-// serial oracle evaluateModel() at any shard/thread count, with BatchVerify
-// on or off; shards serialize losslessly; and the merge tolerates
+// serial oracle evaluateModel() at any shard/thread count, with a private
+// or a shared warm cache; shards serialize losslessly; and the merge tolerates
 // fault-injected, Inconclusive-heavy shards.
 //
 //===----------------------------------------------------------------------===//
@@ -123,19 +123,23 @@ TEST(ShardedEval, BitIdenticalToSerialAcrossShardAndThreadCounts) {
   EvalResult Oracle = evaluateModel(Base, ds().Valid, PromptMode::Generic);
 
   ThreadPool Pool(4);
-  for (bool Batch : {false, true}) {
+  // A private cache per run, then one cache shared (and warmed) across
+  // runs: cold and replayed verdicts must both match the oracle.
+  VerifyCache Warm(0);
+  for (VerifyCache *Shared : {static_cast<VerifyCache *>(nullptr), &Warm}) {
     for (unsigned Shards : {1u, 3u, 4u, 11u}) {
       EvalOptions EO;
       EO.Shards = Shards;
       EO.Pool = &Pool;
-      EO.BatchVerify = Batch;
+      EO.SharedCache = Shared;
       EvalResult Sharded = evaluateModelSharded(
           Base, ds().Valid, PromptMode::Generic, VerifyOptions(), EO);
-      SCOPED_TRACE(testing::Message()
-                   << "shards=" << Shards << " batch=" << Batch);
+      SCOPED_TRACE(testing::Message() << "shards=" << Shards << " shared="
+                                      << (Shared != nullptr));
       expectResultEq(Oracle, Sharded);
     }
   }
+  EXPECT_GT(Warm.counters().Hits, 0u);
 }
 
 TEST(ShardedEval, SerialPoolAndNullPoolAgree) {

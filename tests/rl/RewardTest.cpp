@@ -2,6 +2,8 @@
 
 #include "rl/Reward.h"
 
+#include "verify/Ladder.h"
+
 #include <gtest/gtest.h>
 
 namespace veriopt {
@@ -28,10 +30,20 @@ Completion completionWithAnswer(std::string IR, bool FormatOk = true) {
   return C;
 }
 
+/// Verify the answer with the plain verifier and score it: what the
+/// trainer's group verification plus the reward do for one rollout.
+RewardBreakdown score(const Sample &S, const Completion &C) {
+  Candidate Answer(C.AnswerIR);
+  VerifyResult V;
+  if (C.FormatOk)
+    V = verifyCandidate(*S.source(), Answer);
+  return answerReward(S, C, Answer, V);
+}
+
 TEST(Reward, ExactReferenceMatchScoresHighest) {
   const Sample &S = sample();
   auto C = completionWithAnswer(S.RefText);
-  auto B = answerReward(S, C);
+  auto B = score(S, C);
   EXPECT_TRUE(B.FormatOk);
   EXPECT_TRUE(B.Equivalent);
   EXPECT_TRUE(B.ExactMatch);
@@ -41,9 +53,9 @@ TEST(Reward, ExactReferenceMatchScoresHighest) {
 
 TEST(Reward, CopyScoresBetweenGarbageAndOptimized) {
   const Sample &S = sample();
-  auto Copy = answerReward(S, completionWithAnswer(S.SrcText));
-  auto Exact = answerReward(S, completionWithAnswer(S.RefText));
-  auto Garbage = answerReward(S, completionWithAnswer("not ir at all"));
+  auto Copy = score(S, completionWithAnswer(S.SrcText));
+  auto Exact = score(S, completionWithAnswer(S.RefText));
+  auto Garbage = score(S, completionWithAnswer("not ir at all"));
   EXPECT_TRUE(Copy.IsCopy);
   EXPECT_TRUE(Copy.Equivalent);
   EXPECT_FALSE(Copy.ExactMatch);
@@ -54,7 +66,7 @@ TEST(Reward, CopyScoresBetweenGarbageAndOptimized) {
 TEST(Reward, FormatFailureZeroesTheHierarchy) {
   const Sample &S = sample();
   auto C = completionWithAnswer(S.RefText, /*FormatOk=*/false);
-  auto B = answerReward(S, C);
+  auto B = score(S, C);
   EXPECT_FALSE(B.FormatOk);
   // Only the BLEU shaping term remains: t = 0.
   EXPECT_LE(B.Total, 1.0);
@@ -65,7 +77,7 @@ TEST(Reward, SyntaxErrorGetsOnlyBleu) {
   const Sample &S = sample();
   // Take the reference and break it.
   std::string Broken = S.RefText.substr(0, S.RefText.size() * 2 / 3);
-  auto B = answerReward(S, completionWithAnswer(Broken));
+  auto B = score(S, completionWithAnswer(Broken));
   EXPECT_FALSE(B.Equivalent);
   EXPECT_EQ(B.Verify.Status, VerifyStatus::SyntaxError);
   EXPECT_LT(B.Total, 2.0);
@@ -116,11 +128,11 @@ TEST(Reward, LatencyRewardGatesOnEquivalence) {
   const Sample &S = sample();
   LatencyRewardParams P;
   P.UMax = 3.0;
-  auto Fast = completionWithAnswer(S.RefText);
+  Candidate Fast(S.RefText);
   EXPECT_GT(latencyReward(S, Fast, /*Equivalent=*/true, P), 0.0);
   EXPECT_DOUBLE_EQ(latencyReward(S, Fast, /*Equivalent=*/false, P), 0.0);
   // A copy has u == 1: no reward even though it is equivalent.
-  auto Copy = completionWithAnswer(S.SrcText);
+  Candidate Copy(S.SrcText);
   EXPECT_DOUBLE_EQ(latencyReward(S, Copy, true, P), 0.0);
 }
 
@@ -129,7 +141,7 @@ TEST(Reward, LatencyRewardSaturatesAndShapes) {
   LatencyRewardParams P;
   P.UMax = 2.0;
   P.Gamma = 2.0;
-  auto Fast = completionWithAnswer(S.RefText);
+  Candidate Fast(S.RefText);
   double R1 = latencyReward(S, Fast, true, P);
   P.UMax = 10.0; // same speedup, further from saturation
   double R2 = latencyReward(S, Fast, true, P);
@@ -150,26 +162,36 @@ TEST(Reward, CopyDetectionSeesThroughCosmeticEdits) {
       I += 1;
     }
   ASSERT_NE(Cosmetic, S.SrcText);
-  auto B = answerReward(S, completionWithAnswer(Cosmetic));
+  auto B = score(S, completionWithAnswer(Cosmetic));
   EXPECT_TRUE(B.IsCopy) << "whitespace-edited copy evaded detection";
   EXPECT_TRUE(B.Equivalent);
   // Unparseable answers still fall back to the textual compare.
-  auto Garbage = answerReward(S, completionWithAnswer("not ir at all"));
+  auto Garbage = score(S, completionWithAnswer("not ir at all"));
   EXPECT_FALSE(Garbage.IsCopy);
   // The reference output is not a copy.
-  EXPECT_FALSE(answerReward(S, completionWithAnswer(S.RefText)).IsCopy);
+  EXPECT_FALSE(score(S, completionWithAnswer(S.RefText)).IsCopy);
 }
 
 TEST(Reward, CachedAnswerRewardMatchesUncached) {
+  // The reward is pure math over the verdict, so a verdict served by the
+  // verify cache scores exactly like a freshly computed one.
   const Sample &S = sample();
   VerifyCache Cache;
+  LadderOptions L;
+  L.MaxTiers = 1;
+  L.Cache = &Cache;
   for (const std::string &IR :
        {S.RefText, S.SrcText, S.RefText.substr(0, S.RefText.size() / 2)}) {
-    auto Plain = answerReward(S, completionWithAnswer(IR));
-    auto Cached = answerReward(S, completionWithAnswer(IR),
-                               VerifyOptions(), &Cache);
-    auto Hit = answerReward(S, completionWithAnswer(IR),
-                            VerifyOptions(), &Cache);
+    Completion C = completionWithAnswer(IR);
+    Candidate Answer(IR);
+    auto viaCache = [&] {
+      return answerReward(
+          S, C, Answer,
+          runLadder(L, S.SrcText, *S.source(), Answer, nullptr).Result);
+    };
+    auto Plain = score(S, C);
+    auto Cached = viaCache();
+    auto Hit = viaCache();
     for (const auto *B : {&Cached, &Hit}) {
       EXPECT_EQ(Plain.Total, B->Total);
       EXPECT_EQ(Plain.Equivalent, B->Equivalent);
@@ -186,7 +208,7 @@ TEST(Reward, LatencyRewardDegenerateParamsScoreZero) {
   // Regression: UMax <= 1.0 used to divide by zero in the Eq. (4)
   // normalizer (UMax - 1.0); a degenerate saturation band must gate to 0.
   const Sample &S = sample();
-  auto Fast = completionWithAnswer(S.RefText);
+  Candidate Fast(S.RefText);
   LatencyRewardParams P;
   P.UMax = 1.0;
   EXPECT_DOUBLE_EQ(latencyReward(S, Fast, /*Equivalent=*/true, P), 0.0);
@@ -202,7 +224,7 @@ TEST(Reward, LatencyRewardUnparseableAnswerScoresZero) {
   // stale flags) must not crash or reward anything.
   const Sample &S = sample();
   LatencyRewardParams P;
-  auto C = completionWithAnswer("definitely not ir");
+  Candidate C("definitely not ir");
   EXPECT_DOUBLE_EQ(latencyReward(S, C, /*Equivalent=*/true, P), 0.0);
 }
 

@@ -2,11 +2,14 @@
 
 #include "rl/Trainer.h"
 
-#include "verify/BatchVerifier.h"
+#include "ir/Parser.h"
+#include "ir/Printer.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 namespace veriopt {
 namespace {
@@ -22,6 +25,25 @@ const Dataset &tinyDataset() {
   return DS;
 }
 
+/// Eq. (1) over the trainer's verdicts (the pipeline's stage-1 reward).
+RolloutScore eq1Score(const Sample &S, const Completion &C,
+                      const RolloutVerdicts &V) {
+  RewardBreakdown B = answerReward(S, C, *V.Answer, V.AnswerVerify);
+  RolloutScore Sc;
+  Sc.Reward = B.Total;
+  Sc.Equivalent = B.Equivalent;
+  Sc.IsCopy = B.IsCopy;
+  Sc.AnswerVerify = B.Verify;
+  return Sc;
+}
+
+RolloutScore flatScore(const Sample &, const Completion &,
+                       const RolloutVerdicts &) {
+  RolloutScore Sc;
+  Sc.Reward = 1.0;
+  return Sc;
+}
+
 TEST(Trainer, ClipGradientScalesDown) {
   std::vector<double> G = {3.0, 4.0}; // norm 5
   double Norm = clipGradient(G, 1.0);
@@ -35,22 +57,14 @@ TEST(Trainer, ClipGradientScalesDown) {
 TEST(Trainer, GRPOImprovesRewardAndKillsCorruption) {
   const Dataset &DS = tinyDataset();
   RewritePolicyModel Model(presetQwen3B());
-  VerifyOptions V;
-  V.FalsifyTrials = 8;
-  V.SolverConflictBudget = 20000;
   GRPOOptions G;
   G.GroupSize = 6;
   G.PromptsPerStep = 3;
   G.Seed = 7;
-  RewardFn Reward = [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, V);
-    RolloutScore Sc;
-    Sc.Reward = B.Total;
-    Sc.Equivalent = B.Equivalent;
-    Sc.IsCopy = B.IsCopy;
-    return Sc;
-  };
-  GRPOTrainer Trainer(Model, Reward, G);
+  G.Verify.Base.FalsifyTrials = 8;
+  G.Verify.Base.SolverConflictBudget = 20000;
+  G.Verify.MaxTiers = 1;
+  GRPOTrainer Trainer(Model, eq1Score, G);
   auto Logs = Trainer.train(DS.Train, 40);
   ASSERT_EQ(Logs.size(), 40u);
   // Early vs late mean rewards (coarse but robust).
@@ -77,12 +91,7 @@ TEST(Trainer, GroupRelativeAdvantageNeedsVariation) {
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
-  RewardFn Flat = [](const Sample &, Completion &) {
-    RolloutScore Sc;
-    Sc.Reward = 1.0;
-    return Sc;
-  };
-  GRPOTrainer Trainer(Model, Flat, G);
+  GRPOTrainer Trainer(Model, flatScore, G);
   Trainer.train(DS.Train, 5);
   EXPECT_EQ(Model.params(), Before);
 }
@@ -94,31 +103,21 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
   // parameters — must be bit-identical at any thread count, with or
   // without the verification memo.
   const Dataset &DS = tinyDataset();
-  VerifyOptions V;
-  V.FalsifyTrials = 8;
-  V.SolverConflictBudget = 20000;
 
   auto runConfig = [&](unsigned Threads, bool UseCache,
                        std::vector<double> &ParamsOut) {
     RewritePolicyModel Model(presetQwen3B());
     auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
-    VerifyCache *C = Cache.get();
-    RewardFn Reward = [V, C](const Sample &S, Completion &Co) {
-      RewardBreakdown B = answerReward(S, Co, V, C);
-      RolloutScore Sc;
-      Sc.Reward = B.Total;
-      Sc.Equivalent = B.Equivalent;
-      Sc.IsCopy = B.IsCopy;
-      Sc.AnswerVerify = B.Verify;
-      return Sc;
-    };
     GRPOOptions G;
     G.GroupSize = 6;
     G.PromptsPerStep = 3;
     G.Seed = 7;
     G.Threads = Threads;
-    G.Cache = C;
-    GRPOTrainer Trainer(Model, Reward, G);
+    G.Verify.Base.FalsifyTrials = 8;
+    G.Verify.Base.SolverConflictBudget = 20000;
+    G.Verify.MaxTiers = 1;
+    G.Verify.Cache = Cache.get();
+    GRPOTrainer Trainer(Model, eq1Score, G);
     auto Logs = Trainer.train(DS.Train, 12);
     ParamsOut = Model.params();
     return Logs;
@@ -150,69 +149,184 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
 }
 
 TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
-  // The BatchVerify knob only changes *where* verification work happens
-  // (pre-scoring, through one shared solver context) — every logged value
-  // and the trained parameters must match the knob-off run exactly, at any
-  // thread count.
+  // Group verification (one shared encoding per prompt group, canonical
+  // dedupe, cache) against the sequential oracle: a reward that ignores the
+  // trainer's verdicts and re-verifies each answer on fresh encodings. The
+  // trajectories — every logged value and the trained parameters — must
+  // match, at 1 and 4 threads, and so must every verdict.
   const Dataset &DS = tinyDataset();
-  RobustVerifyOptions RVO;
-  RVO.Base.FalsifyTrials = 8;
-  RVO.Base.SolverConflictBudget = 20000;
-  RVO.MaxTiers = 2;
+  LadderOptions Ladder;
+  Ladder.Base.FalsifyTrials = 8;
+  Ladder.Base.SolverConflictBudget = 20000;
+  Ladder.MaxTiers = 2;
 
-  auto runConfig = [&](bool UseBatch, unsigned Threads,
-                       std::vector<double> &ParamsOut) {
+  struct Run {
+    std::vector<TrainLogEntry> Logs;
+    std::vector<double> Params;
+    std::vector<VerifyResult> Verdicts; ///< format-passing answers, in order
+  };
+  auto runConfig = [&](unsigned Threads, bool FreshOracle) {
+    Run Out;
     RewritePolicyModel Model(presetQwen3B());
-    auto Cache = std::make_unique<VerifyCache>(512);
-    auto RV = std::make_unique<RobustVerifier>(RVO, Cache.get());
-    const RobustVerifier *R = RV.get();
-    RewardFn Reward = [R](const Sample &S, Completion &Co) {
-      RewardBreakdown B = answerReward(S, Co, *R);
-      RolloutScore Sc;
-      Sc.Reward = B.Total;
-      Sc.Equivalent = B.Equivalent;
-      Sc.IsCopy = B.IsCopy;
-      Sc.AnswerVerify = B.Verify;
-      return Sc;
-    };
+    VerifyCache Cache(512);
     ThreadPool Pool(Threads);
-    BatchVerifier::Options BO;
-    BO.Robust = RVO;
-    BO.Pool = &Pool;
-    BO.Threads = Threads;
-    BatchVerifier BV(BO, Cache.get());
     GRPOOptions G;
     G.GroupSize = 6;
     G.PromptsPerStep = 3;
     G.Seed = 7;
     G.Threads = Threads;
     G.Pool = &Pool;
-    G.Cache = Cache.get();
-    G.Batch = UseBatch ? &BV : nullptr;
+    G.Verify = Ladder;
+    G.Verify.Cache = &Cache;
+    G.OnRollout = [&Out](const Sample &, const Completion &C,
+                         const RolloutScore &Sc) {
+      if (C.FormatOk)
+        Out.Verdicts.push_back(Sc.AnswerVerify);
+    };
+    RewardFn Reward = eq1Score;
+    if (FreshOracle)
+      Reward = [&](const Sample &S, const Completion &C,
+                   const RolloutVerdicts &V) {
+        RolloutVerdicts Fresh = V;
+        if (C.FormatOk)
+          Fresh.AnswerVerify =
+              verifyWithLadder(Ladder, S.SrcText, *S.source(), C.AnswerIR)
+                  .Result;
+        return eq1Score(S, C, Fresh);
+      };
     GRPOTrainer Trainer(Model, Reward, G);
-    auto Logs = Trainer.train(DS.Train, 10);
-    ParamsOut = Model.params();
-    return Logs;
+    Out.Logs = Trainer.train(DS.Train, 10);
+    Out.Params = Model.params();
+    return Out;
   };
 
-  std::vector<double> OffParams, OnParams, OnThreadedParams;
-  auto Off = runConfig(/*UseBatch=*/false, 1, OffParams);
-  auto On = runConfig(/*UseBatch=*/true, 1, OnParams);
-  auto OnThreaded = runConfig(/*UseBatch=*/true, 4, OnThreadedParams);
-
-  ASSERT_EQ(Off.size(), On.size());
-  for (size_t I = 0; I < Off.size(); ++I) {
-    EXPECT_EQ(Off[I].MeanReward, On[I].MeanReward) << "step " << I;
-    EXPECT_EQ(Off[I].EMAReward, On[I].EMAReward) << "step " << I;
-    EXPECT_EQ(Off[I].EquivalentRate, On[I].EquivalentRate) << "step " << I;
-    EXPECT_EQ(Off[I].GradNorm, On[I].GradNorm) << "step " << I;
-    EXPECT_EQ(Off[I].SolverConflicts, On[I].SolverConflicts) << "step " << I;
-    EXPECT_EQ(Off[I].RetryEscalations, On[I].RetryEscalations);
-    EXPECT_EQ(Off[I].MeanReward, OnThreaded[I].MeanReward) << "step " << I;
-    EXPECT_EQ(Off[I].GradNorm, OnThreaded[I].GradNorm) << "step " << I;
+  const Run Oracle = runConfig(1, /*FreshOracle=*/true);
+  ASSERT_FALSE(Oracle.Verdicts.empty());
+  for (const Run &R : {runConfig(1, false), runConfig(4, false),
+                       runConfig(4, /*FreshOracle=*/true)}) {
+    ASSERT_EQ(R.Logs.size(), Oracle.Logs.size());
+    for (size_t I = 0; I < R.Logs.size(); ++I) {
+      EXPECT_EQ(R.Logs[I].MeanReward, Oracle.Logs[I].MeanReward) << I;
+      EXPECT_EQ(R.Logs[I].EMAReward, Oracle.Logs[I].EMAReward) << I;
+      EXPECT_EQ(R.Logs[I].EquivalentRate, Oracle.Logs[I].EquivalentRate);
+      EXPECT_EQ(R.Logs[I].GradNorm, Oracle.Logs[I].GradNorm) << I;
+      EXPECT_EQ(R.Logs[I].SolverConflicts, Oracle.Logs[I].SolverConflicts);
+      EXPECT_EQ(R.Logs[I].RetryEscalations, Oracle.Logs[I].RetryEscalations);
+    }
+    EXPECT_EQ(R.Params, Oracle.Params);
+    ASSERT_EQ(R.Verdicts.size(), Oracle.Verdicts.size());
+    for (size_t I = 0; I < R.Verdicts.size(); ++I) {
+      const VerifyResult &Got = R.Verdicts[I], &Want = Oracle.Verdicts[I];
+      EXPECT_EQ(Got.Status, Want.Status) << "rollout " << I;
+      EXPECT_EQ(Got.Kind, Want.Kind) << "rollout " << I;
+      EXPECT_EQ(Got.Diagnostic, Want.Diagnostic) << "rollout " << I;
+      EXPECT_EQ(Got.SolverConflicts, Want.SolverConflicts) << "rollout " << I;
+      EXPECT_EQ(Got.FuelSpent, Want.FuelSpent) << "rollout " << I;
+      EXPECT_EQ(Got.RetryTier, Want.RetryTier) << "rollout " << I;
+      EXPECT_EQ(Got.Counterexample.size(), Want.Counterexample.size());
+    }
   }
-  EXPECT_EQ(OffParams, OnParams);
-  EXPECT_EQ(OffParams, OnThreadedParams);
+}
+
+TEST(Trainer, VerifiesEachRequestOnceAndScoresWithoutLookups) {
+  // Augmented mode: every format-passing answer and every think-attempt is
+  // one verification request. Duplicates within a group share one ladder,
+  // but the retry telemetry counts requests; and the scoring pass is pure
+  // reward math, so it makes no cache lookups at all.
+  const Dataset &DS = tinyDataset();
+  RewritePolicyModel Model(presetQwen3B());
+  VerifyCache Cache(512);
+  std::vector<uint64_t> LookupsSeenByReward;
+  unsigned Requests = 0;
+  GRPOOptions G;
+  G.GroupSize = 8;
+  G.PromptsPerStep = 3;
+  G.Seed = 5;
+  G.Mode = PromptMode::Augmented;
+  G.Verify.Cache = &Cache;
+  G.OnRollout = [&Requests](const Sample &, const Completion &C,
+                            const RolloutScore &) {
+    Requests += C.FormatOk + 1;
+  };
+  RewardFn Reward = [&](const Sample &S, const Completion &C,
+                        const RolloutVerdicts &V) {
+    LookupsSeenByReward.push_back(Cache.counters().lookups());
+    return eq1Score(S, C, V);
+  };
+  GRPOTrainer Trainer(Model, Reward, G);
+
+  MetricsRegistry &M = MetricsRegistry::global();
+  uint64_t Queries0 = M.counter("verify.retry.queries").value();
+  uint64_t Cands0 = M.counter("batch.candidates").value();
+  uint64_t Unique0 = M.counter("batch.unique").value();
+  Trainer.train(DS.Train, 1);
+
+  EXPECT_EQ(M.counter("verify.retry.queries").value() - Queries0, Requests);
+  EXPECT_EQ(M.counter("batch.candidates").value() - Cands0, Requests);
+  EXPECT_LT(M.counter("batch.unique").value() - Unique0, Requests)
+      << "no duplicate candidates: the test no longer exercises dedupe";
+  ASSERT_EQ(LookupsSeenByReward.size(), G.GroupSize * G.PromptsPerStep);
+  for (uint64_t L : LookupsSeenByReward)
+    EXPECT_EQ(L, Cache.counters().lookups());
+}
+
+/// The cache key as it was built before Candidate existed: parse, strip
+/// every value and block name, reprint. Keys in existing verdict journals
+/// were made this way.
+std::string referenceKey(const std::string &SrcText, const std::string &Tgt,
+                         const VerifyOptions &Opts) {
+  std::string Canon = Tgt;
+  if (auto M = parseModule(Tgt)) {
+    for (const auto &F : M.value()->functions()) {
+      for (unsigned I = 0; I < F->getNumParams(); ++I)
+        F->getArg(I)->setName("");
+      for (auto &BB : *F) {
+        BB->setName("");
+        for (auto &Inst : *BB)
+          Inst->setName("");
+      }
+    }
+    Canon = printModule(*M.value());
+  }
+  std::ostringstream OS;
+  OS << Opts.MaxPaths << '|' << Opts.MaxBlockVisitsPerPath << '|'
+     << Opts.MaxStepsPerPath << '|' << Opts.SolverConflictBudget << '|'
+     << Opts.StrictLoops << '|' << Opts.FalsifyTrials << '|'
+     << Opts.FuelBudget << '|' << Opts.MaxCandidateBytes << '|'
+     << Opts.MaxCandidateInsts;
+  return OS.str() + '\x1f' + SrcText + '\x1f' + Canon;
+}
+
+TEST(Trainer, CandidateKeysMatchTextKeysOnRolloutTexts) {
+  const Dataset &DS = tinyDataset();
+  RewritePolicyModel Model(presetQwen3B());
+  std::vector<std::pair<const Sample *, std::string>> Texts;
+  for (const Sample &S : DS.Train)
+    for (PromptMode Mode : {PromptMode::Generic, PromptMode::Augmented})
+      for (uint64_t Seed = 0; Seed < 4; ++Seed) {
+        RNG R(Seed);
+        Completion C = Model.generate(*S.source(), Mode, R, /*Greedy=*/false,
+                                      /*Temperature=*/1.5);
+        Texts.push_back({&S, C.AnswerIR});
+        Texts.push_back({&S, C.ThinkAttemptIR});
+        Texts.push_back({&S, C.AnswerIR.substr(0, C.AnswerIR.size() / 2)});
+      }
+
+  LadderOptions L;
+  L.MaxTiers = 3;
+  unsigned Unparseable = 0;
+  for (const auto &[S, Text] : Texts) {
+    Candidate C(Text);
+    Unparseable += C.M == nullptr;
+    for (unsigned Tier = 0; Tier < L.MaxTiers; ++Tier) {
+      VerifyOptions O = L.tierOptions(Tier);
+      std::string Want = referenceKey(S->SrcText, Text, O);
+      EXPECT_EQ(VerifyCache::makeKey(S->SrcText, C, O), Want);
+      EXPECT_EQ(VerifyCache::makeKey(S->SrcText, Text, O), Want);
+    }
+  }
+  EXPECT_GT(Unparseable, 0u);
+  EXPECT_LT(Unparseable, Texts.size());
 }
 
 TEST(Trainer, RolloutHookSeesEveryRolloutInOrder) {
@@ -223,17 +337,12 @@ TEST(Trainer, RolloutHookSeesEveryRolloutInOrder) {
   G.PromptsPerStep = 2;
   G.Threads = 4;
   std::vector<const Sample *> SerialOrder, ParallelOrder;
-  RewardFn Flat = [](const Sample &, Completion &) {
-    RolloutScore Sc;
-    Sc.Reward = 1.0;
-    return Sc;
-  };
   for (auto *Order : {&SerialOrder, &ParallelOrder}) {
     G.Threads = Order == &SerialOrder ? 1 : 4;
     G.OnRollout = [Order](const Sample &S, const Completion &,
                           const RolloutScore &) { Order->push_back(&S); };
     RewritePolicyModel M(presetQwen3B());
-    GRPOTrainer Trainer(M, Flat, G);
+    GRPOTrainer Trainer(M, flatScore, G);
     Trainer.train(DS.Train, 3);
   }
   EXPECT_EQ(SerialOrder.size(), 3u * 2 * 4);

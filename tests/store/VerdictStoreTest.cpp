@@ -465,6 +465,15 @@ struct IrFixture {
   }
 };
 
+/// One ladder rung's lookup through \p Cache, computed by the plain
+/// verifier on a miss.
+VerifyResult cachedVerify(VerifyCache &Cache, const Function &Src,
+                          const std::string &Tgt, const VerifyOptions &Opts) {
+  return Cache.lookupOrCompute(VerifyCache::makeKey(SrcIR, Tgt, Opts), [&] {
+    return verifyCandidateText(Src, Tgt, Opts);
+  });
+}
+
 TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
   IrFixture Fx;
   VerifyOptions Opts;
@@ -477,8 +486,8 @@ TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
     ASSERT_TRUE(St);
     VerifyCache Cache;
     Cache.setBackingStore(St.get());
-    Cold = Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
-    Cache.verify(SrcIR, *Fx.Src, BadTgt, Opts);
+    Cold = cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
+    cachedVerify(Cache, *Fx.Src, BadTgt, Opts);
     EXPECT_EQ(St->stats().Writes, 2u);
     EXPECT_EQ(St->stats().Hits, 0u);
   }
@@ -490,35 +499,40 @@ TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
   EXPECT_EQ(St->stats().LiveAtOpen, 2u);
   VerifyCache Cache;
   Cache.setBackingStore(St.get());
-  VerifyResult Warm = Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+  VerifyResult Warm = cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
   expectSameResult(Cold, Warm);
   EXPECT_EQ(St->stats().Hits, 1u);
   EXPECT_EQ(St->stats().Writes, 0u); // replayed, nothing new to journal
   // And the memo now holds it: a second verify is a pure memo hit.
-  Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+  cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
   EXPECT_EQ(St->stats().Hits, 1u);
 }
 
-TEST(VerdictStore, PeekReadsThroughForBatchPrewarm) {
+TEST(VerdictStore, GroupVerifierReadsThroughStore) {
   IrFixture Fx;
-  VerifyOptions Opts;
-  ScratchFile F("peek");
+  ScratchFile F("group");
+  LadderOptions L;
+  L.MaxTiers = 1;
   {
     auto St = VerdictStore::open(F.Path);
     ASSERT_TRUE(St);
     VerifyCache Cache;
     Cache.setBackingStore(St.get());
-    Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+    cachedVerify(Cache, *Fx.Src, GoodTgt, L.Base);
   }
   auto St = VerdictStore::open(F.Path);
   ASSERT_TRUE(St);
   VerifyCache Cache;
   Cache.setBackingStore(St.get());
-  std::string Key = VerifyCache::makeKey(SrcIR, GoodTgt, Opts);
-  VerifyResult R;
-  EXPECT_TRUE(Cache.peek(Key, R)); // served by the store, memoized
+  L.Cache = &Cache;
+  Candidate C(GoodTgt);
+  GroupStats GS;
+  auto Outs = verifyGroup(L, SrcIR, *Fx.Src, {&C}, nullptr, &GS);
+  EXPECT_EQ(GS.Computed, 0u); // served by the store, memoized
+  EXPECT_EQ(GS.CacheHits, 1u);
   EXPECT_EQ(St->stats().Hits, 1u);
-  EXPECT_EQ(R.Status, VerifyStatus::Equivalent);
+  EXPECT_EQ(St->stats().Writes, 0u);
+  EXPECT_EQ(Outs[0].Result.Status, VerifyStatus::Equivalent);
 }
 
 TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
@@ -531,7 +545,7 @@ TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
     ASSERT_TRUE(St);
     VerifyCache Cache;
     Cache.setBackingStore(St.get());
-    Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
+    cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
   }
   auto St = VerdictStore::open(F.Path);
   ASSERT_TRUE(St);
@@ -539,8 +553,8 @@ TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
   VerifyCache Cache;
   Cache.setBackingStore(St.get());
   Cache.setFaultInjector(&FI);
-  Cache.verify(SrcIR, *Fx.Src, GoodTgt, Opts);
-  Cache.verify(SrcIR, *Fx.Src, BadTgt, Opts);
+  cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
+  cachedVerify(Cache, *Fx.Src, BadTgt, Opts);
   EXPECT_EQ(St->stats().Hits, 0u);   // no reads while chaos is possible
   EXPECT_EQ(St->stats().Writes, 0u); // and nothing journaled
 }

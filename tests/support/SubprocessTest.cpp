@@ -12,6 +12,8 @@
 #include "gtest/gtest.h"
 
 #include <csignal>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,36 @@ TEST(Subprocess, DeadlineEscalatesToSigkill) {
   EXPECT_FALSE(P.running());
   // Reaped: waitpid on the pid from outside finds nothing.
   EXPECT_EQ(::waitpid(P.pid(), nullptr, WNOHANG), -1);
+}
+
+/// Alive = exists and is not a zombie (an orphaned zombie waits on a reaper
+/// the test does not control).
+bool aliveNotZombie(pid_t Pid) {
+  if (::kill(Pid, 0) != 0)
+    return false;
+  std::ifstream Stat("/proc/" + std::to_string(Pid) + "/stat");
+  std::string Line;
+  std::getline(Stat, Line);
+  size_t Paren = Line.rfind(')');
+  return Paren == std::string::npos || Paren + 2 >= Line.size() ||
+         Line[Paren + 2] != 'Z';
+}
+
+TEST(Subprocess, DeadlineKillsBackgroundedGrandchildren) {
+  // The child backgrounds a long sleep and ignores polite signals. The
+  // blown deadline must take the grandchild down too: a survivor would keep
+  // the inherited stderr pipe (and the test runner's pipes) open for 30 s.
+  Subprocess P;
+  ASSERT_TRUE(P.spawn(sh("trap '' TERM INT; sleep 30 & echo $! >&2; wait",
+                         /*DeadlineMs=*/200)));
+  SubprocessResult R = P.wait();
+  EXPECT_EQ(R.Outcome, SubprocessOutcome::TimedOut);
+  pid_t Grandchild = static_cast<pid_t>(std::atoi(R.StderrCapture.c_str()));
+  ASSERT_GT(Grandchild, 0) << "stderr: " << R.StderrCapture;
+  // SIGKILL delivery is asynchronous; give it a bounded moment.
+  for (int I = 0; I < 200 && aliveNotZombie(Grandchild); ++I)
+    ::usleep(5000);
+  EXPECT_FALSE(aliveNotZombie(Grandchild));
 }
 
 TEST(Subprocess, WaitSurvivesEintr) {

@@ -83,16 +83,17 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   R.enable();
 
   RewritePolicyModel Model(presetQwen3B());
-  VerifyOptions V;
-  V.FalsifyTrials = 8;
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
   G.Seed = 17;
   G.Threads = Threads;
   G.TraceLabel = "stage1";
-  RewardFn Reward = [V](const Sample &S, Completion &C) {
-    RewardBreakdown B = answerReward(S, C, V);
+  G.Verify.Base.FalsifyTrials = 8;
+  G.Verify.MaxTiers = 1;
+  RewardFn Reward = [](const Sample &S, const Completion &C,
+                       const RolloutVerdicts &V) {
+    RewardBreakdown B = answerReward(S, C, *V.Answer, V.AnswerVerify);
     RolloutScore Sc;
     Sc.Reward = B.Total;
     Sc.Equivalent = B.Equivalent;

@@ -1,14 +1,14 @@
-//===- BatchVerifierTest.cpp - Batched vs sequential differential ---------===//
+//===- BatchVerifierTest.cpp - Group vs sequential differential -----------===//
 //
-// The batch path's contract is bit-identity with the sequential oracle:
+// The group verifier's contract is bit-identity with the sequential oracle:
 // for every candidate, verdict, diagnostic kind and text, counterexample,
-// summed solver conflicts, fuel spent, and retry tier must equal what a
-// fresh RobustVerifier::verify would have produced — at any thread count,
-// under fault injection, and with arbitrary cache-hit interleavings.
+// summed solver conflicts, fuel spent, and retry tier must equal what the
+// fresh-encoding front door (verifyWithLadder) produces — at any thread
+// count, under fault injection, and with arbitrary cache-hit interleavings.
 //
 //===----------------------------------------------------------------------===//
 
-#include "verify/BatchVerifier.h"
+#include "verify/Ladder.h"
 
 #include "ir/Parser.h"
 #include "support/ThreadPool.h"
@@ -71,17 +71,42 @@ std::vector<std::string> mulGroup() {
   };
 }
 
-/// The oracle: a fresh cacheless RobustVerifier per candidate, exactly what
-/// the scoring path runs with batching off.
+/// The oracle: the cacheless fresh-encoding ladder per candidate.
 std::vector<VerifyResult> sequentialOracle(const Parsed &Src,
                                            const std::vector<std::string> &Ts,
-                                           const RobustVerifyOptions &O,
+                                           LadderOptions O,
                                            FaultInjector *FI = nullptr) {
+  O.Cache = nullptr;
+  O.Faults = FI;
   std::vector<VerifyResult> Out;
-  for (const std::string &T : Ts) {
-    RobustVerifier RV(O, nullptr, FI);
-    Out.push_back(RV.verify(Src.Text, *Src.F, T).Result);
+  for (const std::string &T : Ts)
+    Out.push_back(verifyWithLadder(O, Src.Text, *Src.F, T).Result);
+  return Out;
+}
+
+/// Parse a group's texts once, as the trainer does.
+struct Group {
+  std::vector<std::unique_ptr<Candidate>> Owned;
+  std::vector<const Candidate *> Ptrs;
+  explicit Group(const std::vector<std::string> &Texts) {
+    for (const std::string &T : Texts) {
+      Owned.push_back(std::make_unique<Candidate>(T));
+      Ptrs.push_back(Owned.back().get());
+    }
   }
+};
+
+/// Run the group verifier and keep the final verdicts.
+std::vector<VerifyResult> groupVerdicts(const LadderOptions &O,
+                                        const Parsed &Src,
+                                        const std::vector<std::string> &Texts,
+                                        ThreadPool *Pool = nullptr,
+                                        GroupStats *Stats = nullptr) {
+  Group G(Texts);
+  std::vector<VerifyResult> Out;
+  for (LadderOutcome &R :
+       verifyGroup(O, Src.Text, *Src.F, G.Ptrs, Pool, Stats))
+    Out.push_back(std::move(R.Result));
   return Out;
 }
 
@@ -109,8 +134,8 @@ void expectIdentical(const std::vector<VerifyResult> &Got,
   }
 }
 
-RobustVerifyOptions defaultLadder() {
-  RobustVerifyOptions O;
+LadderOptions defaultLadder() {
+  LadderOptions O;
   O.MaxTiers = 3;
   O.BudgetGrowth = 4;
   return O;
@@ -118,15 +143,13 @@ RobustVerifyOptions defaultLadder() {
 
 TEST(BatchVerifier, MatchesSequentialOracleBitForBit) {
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, addGroup(), O);
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  BatchVerifier::GroupStats GS;
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup(), &GS);
+  O.Cache = &Cache;
+  GroupStats GS;
+  auto Got = groupVerdicts(O, Src, addGroup(), nullptr, &GS);
 
   expectIdentical(Got, Want);
   EXPECT_EQ(GS.Candidates, 8u);
@@ -140,7 +163,7 @@ TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   // Starved tier 0 forces escalations; RetryTier and the summed conflict /
   // fuel accounting must match the sequential ladder exactly.
   Parsed Src(MulSrc);
-  RobustVerifyOptions O;
+  LadderOptions O;
   O.Base.FalsifyTrials = 0;
   O.Base.SolverConflictBudget = 60;
   O.MaxTiers = 3;
@@ -152,51 +175,42 @@ TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   EXPECT_TRUE(SawEscalation) << "corpus no longer exercises the ladder";
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, mulGroup());
+  O.Cache = &Cache;
+  auto Got = groupVerdicts(O, Src, mulGroup());
   expectIdentical(Got, Want);
 }
 
 TEST(BatchVerifier, ThreadCountInvariance) {
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
 
   VerifyCache C1(256);
-  BatchVerifier::Options B1;
-  B1.Robust = O;
-  BatchVerifier BV1(B1, &C1);
-  auto Sequential = BV1.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &C1;
+  auto Sequential = groupVerdicts(O, Src, addGroup());
 
   ThreadPool Pool(4);
   VerifyCache C4(256);
-  BatchVerifier::Options B4;
-  B4.Robust = O;
-  B4.Pool = &Pool;
-  B4.Threads = 4;
-  BatchVerifier BV4(B4, &C4);
-  auto Threaded = BV4.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &C4;
+  auto Threaded = groupVerdicts(O, Src, addGroup(), &Pool);
 
   expectIdentical(Threaded, Sequential);
 }
 
-TEST(BatchVerifier, SeedsCacheSoScoringReplaysWithoutComputing) {
+TEST(BatchVerifier, GroupFillsCacheSoReplayComputesNothing) {
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Batch = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &Cache;
+  auto Batch = groupVerdicts(O, Src, addGroup());
 
-  // The scoring pass replays the ladder through the same cache: every rung
-  // must hit, and the replayed outcome must equal the batch result.
+  // Re-verifying the group's candidates through the same cache replays
+  // every rung: nothing is computed, and each replayed outcome equals the
+  // group result.
   uint64_t MissesBefore = Cache.counters().Misses;
-  RobustVerifier RV(O, &Cache);
   std::vector<std::string> Group = addGroup();
   for (size_t I = 0; I < Group.size(); ++I) {
-    auto Out = RV.verify(Src.Text, *Src.F, Group[I]);
+    auto Out = verifyWithLadder(O, Src.Text, *Src.F, Group[I]);
+    EXPECT_EQ(Out.Computed, 0u) << "candidate " << I;
     EXPECT_EQ(Out.Result.Status, Batch[I].Status) << "candidate " << I;
     EXPECT_EQ(Out.Result.Diagnostic, Batch[I].Diagnostic) << "candidate " << I;
     EXPECT_EQ(Out.Result.SolverConflicts, Batch[I].SolverConflicts);
@@ -204,7 +218,7 @@ TEST(BatchVerifier, SeedsCacheSoScoringReplaysWithoutComputing) {
     EXPECT_EQ(Out.Result.RetryTier, Batch[I].RetryTier);
   }
   EXPECT_EQ(Cache.counters().Misses, MissesBefore)
-      << "scoring recomputed a rung the batch should have seeded";
+      << "a replay recomputed a rung the group should have cached";
   EXPECT_GT(Cache.counters().Hits, 0u);
 }
 
@@ -213,43 +227,39 @@ TEST(BatchVerifier, CacheHitInterleavingsStayIdentical) {
   // sequential path, then batch the full group: served-from-cache and
   // computed-in-batch members must both match the oracle.
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, addGroup(), O);
 
   VerifyCache Cache(256);
-  RobustVerifier Warm(O, &Cache);
+  O.Cache = &Cache;
   std::vector<std::string> Group = addGroup();
-  Warm.verify(Src.Text, *Src.F, Group[2]);
-  Warm.verify(Src.Text, *Src.F, Group[3]);
+  verifyWithLadder(O, Src.Text, *Src.F, Group[2]);
+  verifyWithLadder(O, Src.Text, *Src.F, Group[3]);
 
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  BatchVerifier::GroupStats GS;
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, Group, &GS);
+  GroupStats GS;
+  auto Got = groupVerdicts(O, Src, Group, nullptr, &GS);
   expectIdentical(Got, Want);
   EXPECT_GT(GS.CacheHits, 0u);
 
-  // A second batch of the same group is served entirely from the cache.
-  BatchVerifier::GroupStats GS2;
-  auto Again = BV.verifyGroup(Src.Text, *Src.F, Group, &GS2);
+  // A second pass over the same group is served entirely from the cache.
+  GroupStats GS2;
+  auto Again = groupVerdicts(O, Src, Group, nullptr, &GS2);
   expectIdentical(Again, Want);
   EXPECT_EQ(GS2.Computed, 0u);
 }
 
 TEST(BatchVerifier, OracleBudgetFaultMirrorsSequential) {
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   FaultInjector FIa(5), FIb(5);
   FIa.enable(FaultSite::OracleBudget, 0.5);
   FIb.enable(FaultSite::OracleBudget, 0.5);
   auto Want = sequentialOracle(Src, addGroup(), O, &FIa);
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache, &FIb);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &Cache;
+  O.Faults = &FIb;
+  auto Got = groupVerdicts(O, Src, addGroup());
   expectIdentical(Got, Want);
   // At 50% some queries must actually have been injected (seed-dependent
   // but deterministic; guards against the fault site silently not firing).
@@ -258,40 +268,38 @@ TEST(BatchVerifier, OracleBudgetFaultMirrorsSequential) {
 
 TEST(BatchVerifier, VerdictFlipFaultMirrorsSequential) {
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   FaultInjector FIa(7), FIb(7);
   FIa.enable(FaultSite::VerdictFlip, 1.0);
   FIb.enable(FaultSite::VerdictFlip, 1.0);
   auto Want = sequentialOracle(Src, addGroup(), O, &FIa);
 
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache, &FIb);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &Cache;
+  O.Faults = &FIb;
+  auto Got = groupVerdicts(O, Src, addGroup());
   expectIdentical(Got, Want);
   EXPECT_GT(FIb.counters().injected(FaultSite::VerdictFlip), 0u);
 }
 
 TEST(BatchVerifier, InjectedCacheMissesDoNotChangeVerdicts) {
   Parsed Src(AddSrc);
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, addGroup(), O);
 
   FaultInjector FI(11);
   FI.enable(FaultSite::CacheMiss, 0.5);
   VerifyCache Cache(256);
   Cache.setFaultInjector(&FI);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache, &FI);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &Cache;
+  O.Faults = &FI;
+  auto Got = groupVerdicts(O, Src, addGroup());
   expectIdentical(Got, Want);
+  EXPECT_GT(FI.counters().injected(FaultSite::CacheMiss), 0u);
   // And the poisoned cache still replays correct verdicts sequentially.
-  RobustVerifier RV(O, &Cache, &FI);
   std::vector<std::string> Group = addGroup();
   for (size_t I = 0; I < Group.size(); ++I)
-    EXPECT_EQ(RV.verify(Src.Text, *Src.F, Group[I]).Result.Status,
+    EXPECT_EQ(verifyWithLadder(O, Src.Text, *Src.F, Group[I]).Result.Status,
               Want[I].Status);
 }
 
@@ -299,13 +307,11 @@ TEST(BatchVerifier, PointerSourceStaysInconclusive) {
   // Unsupported sources short-circuit before any encoding is shared; the
   // batch must not crash on a group whose source has no QueryPrefix.
   Parsed Src("define i32 @f(ptr %p) {\n  ret i32 0\n}\n");
-  RobustVerifyOptions O = defaultLadder();
+  LadderOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, {Src.Text, Src.Text}, O);
   VerifyCache Cache(64);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, {Src.Text, Src.Text});
+  O.Cache = &Cache;
+  auto Got = groupVerdicts(O, Src, {Src.Text, Src.Text});
   expectIdentical(Got, Want);
   EXPECT_EQ(Got[0].Status, VerifyStatus::Inconclusive);
   EXPECT_EQ(Got[0].Kind, DiagKind::Unsupported);
@@ -316,16 +322,14 @@ TEST(BatchVerifier, FuelStarvedLaddersMatchSequential) {
   // encoding's replay as in a fresh sequential run (the fuel-trace
   // mechanism), across tiers that progressively unstarve.
   Parsed Src(AddSrc);
-  RobustVerifyOptions O;
+  LadderOptions O;
   O.Base.FuelBudget = 8; // dies during falsification at tier 0
   O.MaxTiers = 3;
   O.BudgetGrowth = 100000;
   auto Want = sequentialOracle(Src, addGroup(), O);
   VerifyCache Cache(256);
-  BatchVerifier::Options BO;
-  BO.Robust = O;
-  BatchVerifier BV(BO, &Cache);
-  auto Got = BV.verifyGroup(Src.Text, *Src.F, addGroup());
+  O.Cache = &Cache;
+  auto Got = groupVerdicts(O, Src, addGroup());
   expectIdentical(Got, Want);
 }
 

@@ -28,6 +28,16 @@ struct Fixture {
   }
 };
 
+/// The ladder's per-rung lookup: the text's key, computed by the plain
+/// verifier on a miss.
+VerifyResult cachedVerify(VerifyCache &Cache, const Function &Src,
+                          const std::string &Tgt, const VerifyOptions &Opts,
+                          bool *Computed = nullptr) {
+  return Cache.lookupOrCompute(
+      VerifyCache::makeKey(SrcIR, Tgt, Opts),
+      [&] { return verifyCandidateText(Src, Tgt, Opts); }, Computed);
+}
+
 void expectSameResult(const VerifyResult &A, const VerifyResult &B) {
   EXPECT_EQ(A.Status, B.Status);
   EXPECT_EQ(A.Kind, B.Kind);
@@ -47,17 +57,17 @@ TEST(VerifyCache, HitMissSemantics) {
   VerifyCache Cache;
   VerifyOptions Opts;
 
-  auto R1 = Cache.verify(SrcIR, *F.Src, GoodTgt, Opts);
+  auto R1 = cachedVerify(Cache, *F.Src, GoodTgt, Opts);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   EXPECT_EQ(Cache.counters().Hits, 0u);
 
-  auto R2 = Cache.verify(SrcIR, *F.Src, GoodTgt, Opts);
+  auto R2 = cachedVerify(Cache, *F.Src, GoodTgt, Opts);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   EXPECT_EQ(Cache.counters().Hits, 1u);
   expectSameResult(R1, R2);
 
   // A different candidate is a fresh miss.
-  Cache.verify(SrcIR, *F.Src, BadTgt, Opts);
+  cachedVerify(Cache, *F.Src, BadTgt, Opts);
   EXPECT_EQ(Cache.counters().Misses, 2u);
   EXPECT_EQ(Cache.size(), 2u);
 }
@@ -68,8 +78,8 @@ TEST(VerifyCache, MatchesUncachedResults) {
   VerifyOptions Opts;
   for (const char *Tgt : {GoodTgt, BadTgt, "syntactically broken"}) {
     VerifyResult Plain = verifyCandidateText(*F.Src, Tgt, Opts);
-    VerifyResult Miss = Cache.verify(SrcIR, *F.Src, Tgt, Opts);
-    VerifyResult Hit = Cache.verify(SrcIR, *F.Src, Tgt, Opts);
+    VerifyResult Miss = cachedVerify(Cache, *F.Src, Tgt, Opts);
+    VerifyResult Hit = cachedVerify(Cache, *F.Src, Tgt, Opts);
     expectSameResult(Plain, Miss);
     expectSameResult(Plain, Hit);
   }
@@ -79,11 +89,11 @@ TEST(VerifyCache, CanonicalKeyCollapsesCosmeticVariants) {
   Fixture F;
   VerifyCache Cache;
   VerifyOptions Opts;
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts);
+  cachedVerify(Cache, *F.Src, GoodTgt, Opts);
   // Same IR with different whitespace and value names: one entry.
   std::string Renamed = "define i32 @f(i32 %x)  {\n\n  %zz = shl i32 %x, 1\n"
                         "  ret i32   %zz\n}\n";
-  auto R = Cache.verify(SrcIR, *F.Src, Renamed, Opts);
+  auto R = cachedVerify(Cache, *F.Src, Renamed, Opts);
   EXPECT_EQ(Cache.counters().Hits, 1u);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   EXPECT_EQ(R.Status, VerifyStatus::Equivalent);
@@ -94,8 +104,8 @@ TEST(VerifyCache, OptionsArePartOfTheKey) {
   VerifyCache Cache;
   VerifyOptions A, B;
   B.FalsifyTrials = A.FalsifyTrials + 1;
-  Cache.verify(SrcIR, *F.Src, BadTgt, A);
-  Cache.verify(SrcIR, *F.Src, BadTgt, B);
+  cachedVerify(Cache, *F.Src, BadTgt, A);
+  cachedVerify(Cache, *F.Src, BadTgt, B);
   EXPECT_EQ(Cache.counters().Misses, 2u);
 }
 
@@ -105,15 +115,15 @@ TEST(VerifyCache, EvictsLeastRecentlyUsed) {
   VerifyOptions Opts;
   const char *Tgt3 = "define i32 @f(i32 %x) {\n  %y = add i32 %x, %x\n"
                      "  ret i32 %y\n}\n";
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts); // miss
-  Cache.verify(SrcIR, *F.Src, BadTgt, Opts);  // miss
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts); // hit: GoodTgt now MRU
-  Cache.verify(SrcIR, *F.Src, Tgt3, Opts);    // miss: evicts BadTgt
+  cachedVerify(Cache, *F.Src, GoodTgt, Opts); // miss
+  cachedVerify(Cache, *F.Src, BadTgt, Opts);  // miss
+  cachedVerify(Cache, *F.Src, GoodTgt, Opts); // hit: GoodTgt now MRU
+  cachedVerify(Cache, *F.Src, Tgt3, Opts);    // miss: evicts BadTgt
   EXPECT_EQ(Cache.counters().Evictions, 1u);
   EXPECT_EQ(Cache.size(), 2u);
-  Cache.verify(SrcIR, *F.Src, GoodTgt, Opts); // still resident
+  cachedVerify(Cache, *F.Src, GoodTgt, Opts); // still resident
   EXPECT_EQ(Cache.counters().Hits, 2u);
-  Cache.verify(SrcIR, *F.Src, BadTgt, Opts); // evicted: a miss again
+  cachedVerify(Cache, *F.Src, BadTgt, Opts); // evicted: a miss again
   EXPECT_EQ(Cache.counters().Misses, 4u);
 }
 
@@ -129,7 +139,7 @@ TEST(VerifyCache, ConcurrentLookupsAgree) {
   ThreadPool Pool(4);
   Pool.parallelFor(N, [&](size_t I) {
     const char *Tgt = (I % 2) ? BadTgt : GoodTgt;
-    Results[I] = Cache.verify(SrcIR, *F.Src, Tgt, Opts);
+    Results[I] = cachedVerify(Cache, *F.Src, Tgt, Opts);
   });
 
   for (size_t I = 0; I < N; ++I)
@@ -141,6 +151,40 @@ TEST(VerifyCache, ConcurrentLookupsAgree) {
   EXPECT_EQ(C.Misses, 2u);
   EXPECT_EQ(C.Hits, N - 2);
   EXPECT_DOUBLE_EQ(C.hitRate(), static_cast<double>(N - 2) / N);
+}
+
+TEST(VerifyCache, LookupOrComputeRunsComputeOnlyOnMisses) {
+  Fixture F;
+  VerifyCache Cache;
+  VerifyOptions Opts;
+  bool Computed = false;
+  cachedVerify(Cache, *F.Src, GoodTgt, Opts, &Computed);
+  EXPECT_TRUE(Computed);
+  cachedVerify(Cache, *F.Src, GoodTgt, Opts, &Computed);
+  EXPECT_FALSE(Computed);
+
+  // An injected miss bypasses the memo: counted as a miss, computed, and
+  // never stored.
+  FaultInjector FI(3);
+  FI.enable(FaultSite::CacheMiss, 1.0);
+  Cache.setFaultInjector(&FI);
+  cachedVerify(Cache, *F.Src, BadTgt, Opts, &Computed);
+  EXPECT_TRUE(Computed);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.counters().Misses, 2u);
+  EXPECT_EQ(Cache.counters().Hits, 1u);
+}
+
+TEST(VerifyCache, CandidateKeyMatchesTextKey) {
+  // A Candidate keys on its name-free print; the text entry parses once
+  // and must produce the same bytes, parseable or not.
+  VerifyOptions Opts;
+  for (const char *Tgt : {GoodTgt, BadTgt, "syntactically broken"}) {
+    Candidate C(Tgt);
+    EXPECT_EQ(VerifyCache::makeKey(SrcIR, C, Opts),
+              VerifyCache::makeKey(SrcIR, Tgt, Opts));
+  }
+  EXPECT_EQ(Candidate("syntactically broken").Canon, "syntactically broken");
 }
 
 } // namespace

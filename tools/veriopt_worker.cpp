@@ -10,11 +10,12 @@
 //                  [--valid-count N] [--dataset-seed S] [--attempt K]
 //                  [--verdict-store PATH]
 //
-// With --verdict-store the worker verifies through a private VerifyCache
-// backed by the shared durable VerdictStore (docs/PERSISTENCE.md): warm
-// verdicts are replayed instead of recomputed and fresh ones are journaled
-// for the rest of the fleet. Results are bit-identical with or without the
-// store (the PR6 batch-verify contract + deterministic verification).
+// With --verdict-store the worker verifies through evaluation's
+// EvalVerifier, whose private VerifyCache is backed by the shared durable
+// VerdictStore (docs/PERSISTENCE.md): warm verdicts are replayed instead of
+// recomputed and fresh ones are journaled for the rest of the fleet.
+// Results are bit-identical with or without the store (deterministic
+// verification).
 //
 // Typed exit codes (the supervisor's failure taxonomy):
 //   0  result written and valid
@@ -55,8 +56,6 @@
 #include "support/FaultInjector.h"
 #include "support/FileLock.h"
 #include "support/IoEnv.h"
-#include "verify/BatchVerifier.h"
-#include "verify/VerifyCache.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -249,13 +248,11 @@ int main(int argc, char **argv) {
   Dataset DS = buildDataset(DO);
   RewritePolicyModel Model(presetQwen3B());
 
-  // With a verdict store, verify through a private cache backed by the
-  // shared journal — same construction as evaluateModelSharded's batch
-  // path, so the verdicts (and therefore the result file) stay
-  // bit-identical to the plain path below.
+  // With a verdict store, verify through evaluateModelSharded's verifier (a
+  // private cache backed by the shared journal), so the verdicts — and
+  // therefore the result file — stay bit-identical to the plain path.
   std::unique_ptr<VerdictStore> Store;
-  std::unique_ptr<VerifyCache> Cache;
-  std::unique_ptr<BatchVerifier> BV;
+  std::unique_ptr<EvalVerifier> Verifier;
   if (!StorePath.empty()) {
     std::string SErr;
     Store = VerdictStore::open(StorePath, &SErr);
@@ -265,16 +262,14 @@ int main(int argc, char **argv) {
                    StorePath.c_str(), SErr.c_str());
       return 5;
     }
-    Cache = std::make_unique<VerifyCache>(4096);
-    Cache->setBackingStore(Store.get());
-    BatchVerifier::Options BO;
-    BO.Robust.Base = VerifyOptions();
-    BO.Robust.MaxTiers = 1; // evaluation runs one fixed budget, no ladder
-    BV = std::make_unique<BatchVerifier>(BO, Cache.get(), nullptr);
+    EvalOptions EO;
+    EO.VerdictTier = Store.get();
+    Verifier = std::make_unique<EvalVerifier>(VerifyOptions(), EO);
   }
 
   ShardEvalResult R = evaluateEvalShard(Model, DS.Valid, PromptMode::Generic,
-                                        VerifyOptions(), *Shard, BV.get());
+                                        VerifyOptions(), *Shard,
+                                        Verifier.get());
 
   if (Store) {
     if (!Store->flush())
