@@ -62,7 +62,6 @@ int main(int Argc, char **Argv) {
   Dataset DS = buildDataset(DO);
   RewritePolicyModel Base(presetQwen3B());
   const unsigned Shards = 4;
-  const uint64_t PlanSeed = 0xE7A1;
 
   char Tmpl[] = "/tmp/veriopt-bench-driver-XXXXXX";
   if (!::mkdtemp(Tmpl)) {
@@ -71,14 +70,13 @@ int main(int Argc, char **Argv) {
   }
   const std::string Dir = Tmpl;
 
-  auto Plan = planEvalShards(DS.Valid.size(), Shards, PlanSeed);
+  auto Plan = planEvalShards(DS.Valid.size(), Shards);
   auto driverOpts = [&](const std::string &Sub,
                         std::vector<std::string> Extra) {
     std::string D = Dir + "/" + Sub;
     ::mkdir(D.c_str(), 0755);
     if (!writeFileAtomic(D + "/manifest.json",
-                         shardManifestToJson(Plan, PlanSeed,
-                                             DS.Valid.size()))) {
+                         shardManifestToJson(Plan, DS.Valid.size()))) {
       std::printf("cannot write %s/manifest.json\n", D.c_str());
       std::exit(1);
     }
@@ -94,7 +92,6 @@ int main(int Argc, char **Argv) {
     O.BackoffBaseMs = 10;
     O.BackoffCapMs = 100;
     O.WorkerDeadlineMs = Tiny ? 10000 : 120000;
-    O.Seed = PlanSeed;
     return O;
   };
 

@@ -37,9 +37,10 @@ RunResult run(const Dataset &DS, unsigned Threads, size_t CacheCapacity,
   if (CacheCapacity)
     Cache = std::make_unique<VerifyCache>(CacheCapacity);
 
+  ThreadPool Pool(Threads);
   GRPOOptions G;
   G.Seed = 7;
-  G.Threads = Threads;
+  G.Pool = &Pool;
   G.Verify.Base = PipelineOptions::trainVerifyDefaults();
   G.Verify.MaxTiers = 1;
   G.Verify.Cache = Cache.get();

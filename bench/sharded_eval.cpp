@@ -129,7 +129,7 @@ int main(int Argc, char **Argv) {
     ThreadPool Pool(C.Threads);
     EvalResult R;
     if (C.Plain) {
-      auto Plan = planEvalShards(DS.Valid.size(), C.Shards, 0xE7A1);
+      auto Plan = planEvalShards(DS.Valid.size(), C.Shards);
       std::vector<ShardEvalResult> Shards(Plan.size());
       Pool.parallelFor(Plan.size(), [&](size_t I) {
         Shards[I] = evaluateEvalShard(Base, DS.Valid, PromptMode::Generic,
@@ -152,7 +152,7 @@ int main(int Argc, char **Argv) {
   // The serialization half of the work-unit contract: every shard must
   // round-trip through JSON and still merge to the oracle bit for bit.
   {
-    auto Plan = planEvalShards(DS.Valid.size(), 4, 0xE7A1);
+    auto Plan = planEvalShards(DS.Valid.size(), 4);
     std::vector<ShardEvalResult> Shards;
     for (const EvalShard &S : Plan) {
       ShardEvalResult R = evaluateEvalShard(Base, DS.Valid,

@@ -204,7 +204,7 @@ int main(int Argc, char **Argv) {
       ThreadPool P(C.Threads);
       EvalResult R;
       if (C.Plain) {
-        auto Plan = planEvalShards(DS.Valid.size(), C.Shards, 0xE7A1);
+        auto Plan = planEvalShards(DS.Valid.size(), C.Shards);
         std::vector<ShardEvalResult> Shards(Plan.size());
         P.parallelFor(Plan.size(), [&](size_t I) {
           Shards[I] = evaluateEvalShard(Base, DS.Valid, PromptMode::Generic,

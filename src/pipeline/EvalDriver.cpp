@@ -21,6 +21,15 @@ namespace veriopt {
 
 //===--- Backoff --------------------------------------------------------------//
 
+/// SplitMix64 finalizer over (Seed, ShardIdx): stable across platforms and
+/// independent of shard completion order.
+static uint64_t jitterHash(uint64_t Seed, unsigned ShardIdx) {
+  uint64_t Z = Seed + 0x9e3779b97f4a7c15ULL * (uint64_t(ShardIdx) + 1);
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+  return Z ^ (Z >> 31);
+}
+
 uint64_t driverBackoffMs(uint64_t Seed, unsigned ShardIdx, unsigned Attempt,
                          uint64_t BaseMs, uint64_t CapMs) {
   if (Attempt <= 1 || BaseMs == 0)
@@ -34,9 +43,9 @@ uint64_t driverBackoffMs(uint64_t Seed, unsigned ShardIdx, unsigned Attempt,
   // Deterministic jitter in [0, D/2]: a pure (Seed, ShardIdx, Attempt)
   // hash — same decision at any completion order — that de-synchronizes
   // shards failing in lockstep (the thundering-herd concern).
-  uint64_t J = deriveShardSeed(Seed + 0x9e3779b97f4a7c15ULL * Attempt,
-                               ShardIdx) %
-               (D / 2 + 1);
+  uint64_t J =
+      jitterHash(Seed + 0x9e3779b97f4a7c15ULL * Attempt, ShardIdx) %
+      (D / 2 + 1);
   return std::min(CapMs, D + J);
 }
 
@@ -72,7 +81,7 @@ bool loadValidShardResult(const std::string &Path, const EvalShard &Expect,
     return false;
   }
   if (Out.Shard.Index != Expect.Index || Out.Shard.Begin != Expect.Begin ||
-      Out.Shard.End != Expect.End || Out.Shard.RngSeed != Expect.RngSeed) {
+      Out.Shard.End != Expect.End) {
     if (Why)
       *Why = "result file " + Path + " is for a different shard identity";
     return false;

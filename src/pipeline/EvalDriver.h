@@ -121,7 +121,7 @@ uint64_t driverBackoffMs(uint64_t Seed, unsigned ShardIdx, unsigned Attempt,
 
 /// Load \p Path and validate it as the result of \p Expect: parseable
 /// (shardResultFromJson's hardened typed errors), same shard identity
-/// (index/range/seed), and exactly End-Begin samples. Truncated, garbage,
+/// (index and range), and exactly End-Begin samples. Truncated, garbage,
 /// or wrong-shard files fail with \p Why set — they are never merged.
 bool loadValidShardResult(const std::string &Path, const EvalShard &Expect,
                           ShardEvalResult &Out, std::string *Why);

@@ -3,7 +3,6 @@
 #include "pipeline/Evaluation.h"
 
 #include "cost/CostModel.h"
-#include "support/AtomicFile.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "trace/Json.h"
@@ -13,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -34,6 +32,14 @@ void fillMetrics(SampleEval &E, const Sample &S, const Function *Out) {
   E.LatOut = estimateLatency(*Kept);
   E.ICountOut = instructionCount(*Kept);
   E.SizeOut = binarySize(*Kept);
+}
+
+/// The evaluated completion: greedy decoding, which never draws from the
+/// RNG it is handed.
+Completion greedyCompletion(const RewritePolicyModel &Model, const Sample &S,
+                            PromptMode Mode) {
+  RNG Unused(0);
+  return Model.generate(*S.source(), Mode, Unused, /*Greedy=*/true);
 }
 
 } // namespace
@@ -162,15 +168,13 @@ EvalResult evaluateModel(const RewritePolicyModel &Model,
                          const VerifyOptions &VOpts) {
   EvalResult R;
   R.ModelName = Model.config().Name;
-  RNG Rng(0xE7A1); // greedy decoding ignores it; kept for API symmetry
 
   CandidateVerifier Verify = [&VOpts](const Sample &S, const Candidate &A) {
     return verifyCandidate(*S.source(), A, VOpts);
   };
-  for (const Sample &S : Valid) {
-    Completion C = Model.generate(*S.source(), Mode, Rng, /*Greedy=*/true);
-    R.PerSample.push_back(evaluateCandidate(S, C, Verify, R.Taxonomy));
-  }
+  for (const Sample &S : Valid)
+    R.PerSample.push_back(evaluateCandidate(
+        S, greedyCompletion(Model, S, Mode), Verify, R.Taxonomy));
   recomputeAggregates(R);
   return R;
 }
@@ -194,17 +198,7 @@ EvalResult evaluateReferencePass(const std::vector<Sample> &Valid) {
 
 //===--- Sharding -------------------------------------------------------------//
 
-uint64_t deriveShardSeed(uint64_t Seed, unsigned ShardIdx) {
-  // SplitMix64 finalizer over (Seed, ShardIdx): shard streams are
-  // independent of each other and of execution order.
-  uint64_t Z = Seed + 0x9e3779b97f4a7c15ULL * (uint64_t(ShardIdx) + 1);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-  return Z ^ (Z >> 31);
-}
-
-std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards,
-                                      uint64_t Seed) {
+std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards) {
   if (Shards == 0)
     Shards = 1;
   std::vector<EvalShard> Plan(Shards);
@@ -213,7 +207,6 @@ std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards,
     S.Index = I;
     S.Begin = N * I / Shards;
     S.End = N * (I + 1) / Shards;
-    S.RngSeed = deriveShardSeed(Seed, I);
   }
   return Plan;
 }
@@ -222,7 +215,7 @@ EvalVerifier::EvalVerifier(const VerifyOptions &VOpts,
                            const EvalOptions &EOpts) {
   VerifyCache *C = EOpts.SharedCache;
   if (!C) {
-    OwnedCache = std::make_unique<VerifyCache>(EOpts.VerifyCacheCapacity);
+    OwnedCache = std::make_unique<VerifyCache>();
     C = OwnedCache.get();
   }
   if (EOpts.Faults)
@@ -251,7 +244,6 @@ ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
 
   ShardEvalResult R;
   R.Shard = Shard;
-  RNG Rng(Shard.RngSeed);
 
   CandidateVerifier Verify;
   if (Verifier)
@@ -264,11 +256,10 @@ ShardEvalResult evaluateEvalShard(const RewritePolicyModel &Model,
     };
 
   const size_t End = std::min(Shard.End, Valid.size());
-  for (size_t I = Shard.Begin; I < End; ++I) {
-    const Sample &S = Valid[I];
-    Completion C = Model.generate(*S.source(), Mode, Rng, /*Greedy=*/true);
-    R.PerSample.push_back(evaluateCandidate(S, C, Verify, R.Taxonomy));
-  }
+  for (size_t I = Shard.Begin; I < End; ++I)
+    R.PerSample.push_back(evaluateCandidate(
+        Valid[I], greedyCompletion(Model, Valid[I], Mode), Verify,
+        R.Taxonomy));
 
   static Counter &ShardCount = MetricsRegistry::global().counter("eval.shards");
   static Counter &SampleCount =
@@ -366,20 +357,7 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
   unsigned Shards = EOpts.Shards;
   if (Shards == 0)
     Shards = EOpts.Pool ? EOpts.Pool->numThreads() : 1;
-  std::vector<EvalShard> Plan = planEvalShards(Valid.size(), Shards,
-                                               EOpts.Seed);
-  // Failed artifact writes are counted, not fatal: the in-process result
-  // does not depend on the disk, and a worker fleet pointed at a missing
-  // manifest/result file fails with its own typed errors.
-  unsigned IoErrors = 0;
-  static Counter &CWriteFailed =
-      MetricsRegistry::global().counter("io.eval.write_failures");
-  if (!EOpts.ShardManifestPath.empty() &&
-      !writeFileAtomic(EOpts.ShardManifestPath,
-                       shardManifestToJson(Plan, EOpts.Seed, Valid.size()))) {
-    ++IoErrors;
-    CWriteFailed.inc();
-  }
+  std::vector<EvalShard> Plan = planEvalShards(Valid.size(), Shards);
 
   // One verifier (and cache) for the whole run: shards are parallelized at
   // shard granularity (the group-level fan-out stays off — ThreadPool jobs
@@ -397,26 +375,13 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
     for (size_t I = 0; I < Plan.size(); ++I)
       RunShard(I);
 
-  if (!EOpts.ShardResultDir.empty())
-    for (const ShardEvalResult &S : Results)
-      if (!writeFileAtomic(EOpts.ShardResultDir + "/shard_" +
-                               std::to_string(S.Shard.Index) + ".json",
-                           shardResultToJson(S))) {
-        ++IoErrors;
-        CWriteFailed.inc();
-      }
-
   EvalResult R = mergeShardResults(Model.config().Name, std::move(Results));
-  R.IoErrors = IoErrors;
   if (Span.active()) {
     Span.arg(TraceArg::ofInt("shards", static_cast<int64_t>(Plan.size())));
     Span.arg(TraceArg::ofInt("samples", R.Taxonomy.Total));
     Span.arg(TraceArg::ofInt("correct", R.Taxonomy.Correct));
     Span.arg(TraceArg::ofInt("inconclusive", R.Taxonomy.Inconclusive));
     Span.arg(TraceArg::ofStr("model", R.ModelName));
-    // Always true since evaluation always group-verifies; kept so traces
-    // stay diffable against earlier runs.
-    Span.arg(TraceArg::ofBool("batch_verify", true));
     // Pool width shapes the schedule, not the result.
     Span.meta(TraceArg::ofInt(
         "threads", EOpts.Pool ? EOpts.Pool->numThreads() : 1));
@@ -449,9 +414,6 @@ bool shardFromJsonObject(const JsonValue &O, EvalShard &S) {
   if (!jsonU64(O, "index", Index) || !jsonU64(O, "begin", Begin) ||
       !jsonU64(O, "end", End))
     return false;
-  const JsonValue *Seed = O.get("rng_seed");
-  if (!Seed || !Seed->isString() || !parseHex64(Seed->str(), S.RngSeed))
-    return false;
   S.Index = static_cast<unsigned>(Index);
   S.Begin = static_cast<size_t>(Begin);
   S.End = static_cast<size_t>(End);
@@ -459,20 +421,16 @@ bool shardFromJsonObject(const JsonValue &O, EvalShard &S) {
 }
 
 void shardToJson(std::ostringstream &OS, const EvalShard &S) {
-  // rng_seed is a full uint64, which a JSON double cannot carry exactly —
-  // it travels as hex.
   OS << "{\"index\":" << S.Index << ",\"begin\":" << S.Begin
-     << ",\"end\":" << S.End
-     << ",\"rng_seed\":" << jsonString(hex64(S.RngSeed)) << "}";
+     << ",\"end\":" << S.End << "}";
 }
 
 } // namespace
 
 std::string shardManifestToJson(const std::vector<EvalShard> &Plan,
-                                uint64_t Seed, size_t Samples) {
+                                size_t Samples) {
   std::ostringstream OS;
-  OS << "{\"seed\":" << jsonString(hex64(Seed))
-     << ",\"samples\":" << Samples << ",\"shards\":[";
+  OS << "{\"samples\":" << Samples << ",\"shards\":[";
   for (size_t I = 0; I < Plan.size(); ++I) {
     if (I)
       OS << ",";

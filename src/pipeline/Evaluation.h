@@ -15,9 +15,10 @@
 // group verifier over a verify cache and optional verdict store — and
 // merges the per-shard results with an order-independent reduction that
 // is bit-identical to the serial oracle evaluateModel() at any shard/thread
-// count. A shard is a serializable work unit — planEvalShards() emits a
-// manifest and every ShardEvalResult round-trips through JSON with
-// bit-exact doubles — so a later PR can split shards across processes.
+// count. A shard is a serializable work unit — planEvalShards() plans it,
+// shardManifestToJson() writes the plan, and every ShardEvalResult
+// round-trips through JSON with bit-exact doubles — so the multi-process
+// driver (EvalDriver.h) can run shards in separate worker processes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,11 +86,6 @@ struct EvalResult {
   /// Fallback composition: min(model, reference) per sample, geomean
   /// improvement over reference alone (the paper's +17% result).
   double FallbackGainOverRef = 0;
-  /// Manifest / per-shard result files evaluateModelSharded failed to
-  /// write (durability plane only: the in-memory result is unaffected, so
-  /// this field is excluded from countResultDivergence and from the shard
-  /// JSON — it is telemetry about this process's disk, not the evaluation).
-  unsigned IoErrors = 0;
   std::vector<SampleEval> PerSample;
 };
 
@@ -133,13 +129,11 @@ SampleEval evaluateCandidate(const Sample &S, const Completion &C,
 //===--- Sharded evaluation -------------------------------------------------===//
 
 /// One shard of the validation set: a deterministic, serializable work
-/// unit. Samples [Begin, End) are evaluated in order with a dedicated RNG
-/// seeded by RngSeed = deriveShardSeed(Seed, Index), so greedy and future
-/// sampled decoding are both independent of the thread schedule.
+/// unit. Samples [Begin, End) are evaluated in order with greedy decoding,
+/// so a shard's result is independent of the thread schedule.
 struct EvalShard {
   unsigned Index = 0;
   size_t Begin = 0, End = 0; ///< [Begin, End) into the validation set
-  uint64_t RngSeed = 0;
 };
 
 /// What one shard produced. PerSample holds samples Begin..End in corpus
@@ -156,10 +150,8 @@ struct EvalOptions {
   /// Shards run on this pool when it has more than one thread; null or
   /// single-threaded pools evaluate shards inline, in index order.
   ThreadPool *Pool = nullptr;
-  /// Capacity in entries of the run's private verify memo (0 = unbounded).
-  size_t VerifyCacheCapacity = 4096;
   /// Optional externally owned verify cache. When set, the run uses it
-  /// instead of creating a private one, so successive evaluations (the
+  /// instead of a private default-capacity one, so successive evaluations (the
   /// checkpoint-cadence and ablation-table workloads, which re-verify
   /// mostly unchanged (source, candidate) pairs) replay verdicts instead
   /// of recomputing them — bit-identical either way.
@@ -171,29 +163,15 @@ struct EvalOptions {
   /// deterministic and the store admits only deterministic verdicts — see
   /// docs/PERSISTENCE.md). Caller owns; must outlive the evaluation.
   VerdictBackingTier *VerdictTier = nullptr;
-  /// Base seed for per-shard RNG derivation (API symmetry with training;
-  /// greedy decoding ignores the stream).
-  uint64_t Seed = 0xE7A1;
   /// Optional deterministic fault injection: the ladder's oracle-budget /
   /// verdict-flip sites and the cache's cache-miss site.
   FaultInjector *Faults = nullptr;
-  /// When non-empty, write the shard plan as JSON (atomic write-then-
-  /// rename) so an external driver can later run shards out of process.
-  std::string ShardManifestPath;
-  /// When non-empty, write each shard's ShardEvalResult to
-  /// <dir>/shard_<index>.json (bit-exact doubles; see shardResultFromJson).
-  std::string ShardResultDir;
 };
-
-/// Derived per-shard seed: a SplitMix64-style mix of (Seed, ShardIdx),
-/// stable across platforms and independent of shard execution order.
-uint64_t deriveShardSeed(uint64_t Seed, unsigned ShardIdx);
 
 /// Deterministic contiguous partition of \p N samples into \p Shards
 /// shards (sizes differ by at most one; empty shards are kept so the
 /// manifest always lists exactly \p Shards entries).
-std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards,
-                                      uint64_t Seed);
+std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards);
 
 /// The verifier evaluation runs: each greedy answer is a group of one for
 /// the group verifier (one shared-encoding ladder at a single fixed budget,
@@ -240,9 +218,9 @@ unsigned countResultDivergence(const EvalResult &A, const EvalResult &B);
 
 //===--- Shard serialization ------------------------------------------------===//
 
-/// Manifest JSON for a shard plan: {"seed":..,"samples":..,"shards":[...]}.
+/// Manifest JSON for a shard plan: {"samples":..,"shards":[...]}.
 std::string shardManifestToJson(const std::vector<EvalShard> &Plan,
-                                uint64_t Seed, size_t Samples);
+                                size_t Samples);
 bool shardManifestFromJson(const std::string &Text,
                            std::vector<EvalShard> &Plan, std::string *Err);
 

@@ -49,6 +49,13 @@ RewardFn makeLatencyReward(const LatencyRewardParams &P) {
 
 //===--- Checkpoint plumbing -------------------------------------------------//
 
+/// Extra save attempts after a failed checkpoint write, and the bounds of
+/// the backoff before each (driverBackoffMs keyed on seed + stage +
+/// attempt).
+constexpr unsigned CheckpointExtraAttempts = 2;
+constexpr uint64_t CheckpointBackoffBaseMs = 10;
+constexpr uint64_t CheckpointBackoffCapMs = 100;
+
 static std::vector<unsigned> encodeActions(const std::vector<Action> &A) {
   std::vector<unsigned> Out;
   Out.reserve(A.size());
@@ -118,28 +125,22 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   // One scoring pool and one verification memo serve all three GRPO stages
   // (the cache key carries the budget, so sharing across stages is sound).
   ThreadPool Pool(Opts.Threads);
-  std::unique_ptr<VerifyCache> Cache;
-  if (Opts.VerifyCacheCapacity) {
-    Cache = std::make_unique<VerifyCache>(Opts.VerifyCacheCapacity);
-    if (Opts.Faults)
-      Cache->setFaultInjector(Opts.Faults);
-    // Durable tier under the memo: warm-store training replays verdicts
-    // instead of recomputing them, bit-identically (the cache bypasses the
-    // tier while a fault injector is attached — see docs/PERSISTENCE.md).
-    if (Opts.VerdictTier)
-      Cache->setBackingStore(Opts.VerdictTier);
-  }
+  VerifyCache Cache;
+  if (Opts.Faults)
+    Cache.setFaultInjector(Opts.Faults);
+  // Durable tier under the memo: warm-store training replays verdicts
+  // instead of recomputing them, bit-identically (the cache bypasses the
+  // tier while a fault injector is attached — see docs/PERSISTENCE.md).
+  if (Opts.VerdictTier)
+    Cache.setBackingStore(Opts.VerdictTier);
 
   // All training verification goes through the escalating retry ladder,
   // once per prompt group. With one tier this is exactly the plain
   // single-budget verifier.
   GRPOOptions GBase = Opts.GRPO;
-  GBase.Threads = Opts.Threads;
   GBase.Pool = &Pool;
-  GBase.Verify.Base = Opts.TrainVerify;
-  GBase.Verify.MaxTiers = std::max(1u, Opts.VerifyRetryTiers);
-  GBase.Verify.BudgetGrowth = Opts.VerifyRetryGrowth;
-  GBase.Verify.Cache = Cache.get();
+  GBase.Verify.MaxTiers = std::max(1u, GBase.Verify.MaxTiers);
+  GBase.Verify.Cache = &Cache;
   GBase.Verify.Faults = Opts.Faults;
 
   //===--- Resume --------------------------------------------------------===//
@@ -215,12 +216,11 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
         MetricsRegistry::global().counter("io.checkpoint.retries");
     bool Ok = false;
     unsigned Attempts = 0;
-    for (unsigned A = 1; A <= 1 + Opts.CheckpointWriteRetries && !Ok; ++A) {
+    for (unsigned A = 1; A <= 1 + CheckpointExtraAttempts && !Ok; ++A) {
       if (A >= 2) {
         uint64_t DelayMs =
             driverBackoffMs(Opts.Seed, Snap.StageIdx, A,
-                            Opts.CheckpointRetryBaseMs,
-                            Opts.CheckpointRetryCapMs);
+                            CheckpointBackoffBaseMs, CheckpointBackoffCapMs);
         if (DelayMs)
           std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
         ++Art.CheckpointRetries;
@@ -293,10 +293,12 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
       // attempt, Alive verdict class, oracle target) — the model-adaptive
       // dataset of §III-C1. The harvest runs in the sequential OnRollout
       // hook, not inside the reward, so the SFT set is identical at any
-      // thread count (and needs no locking).
+      // thread count (and needs no locking). The caller's own hook, if
+      // any, runs after the harvester.
       RewritePolicyModel *Zero = Art.ModelZero.get();
-      G.OnRollout = [&Art, Zero](const Sample &S, const Completion &C,
-                                 const RolloutScore &Score) {
+      G.OnRollout = [&Art, Zero, Caller = G.OnRollout](
+                        const Sample &S, const Completion &C,
+                        const RolloutScore &Score) {
         bool Failed =
             Score.AnswerVerify.Status == VerifyStatus::SyntaxError ||
             Score.AnswerVerify.Status == VerifyStatus::NotEquivalent;
@@ -311,6 +313,8 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
           Art.Augmented.push_back(std::move(Ex));
           ++Art.CorrectionSamples;
         }
+        if (Caller)
+          Caller(S, C, Score);
       };
       GRPOTrainer Trainer(*Art.ModelZero, makeAnswerReward(), G);
       runStage(0, Trainer, Art.Stage1Log, Opts.Stage1Steps);
@@ -331,8 +335,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
       //===--- Stage 2 warm-up: SFT from the pretrained base (Fig. 3) ----===//
       Art.WarmUp = std::make_unique<RewritePolicyModel>(Opts.BaseModel);
       SFTOptions SFT = Opts.SFT;
-      SFT.Epochs = Opts.Stage2SFTEpochs;
-      SFT.LearningRate = Opts.Stage2SFTLearningRate;
       SFT.Seed = Opts.Seed * 5 + 2;
       {
         TraceSpan SftSpan("pipeline.stage");

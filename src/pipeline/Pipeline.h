@@ -31,8 +31,6 @@ struct PipelineOptions {
   ModelConfig BaseModel = presetQwen3B();
 
   unsigned Stage1Steps = 50;
-  unsigned Stage2SFTEpochs = 2; ///< a light warm-up: rudimentary skills only
-  double Stage2SFTLearningRate = 0.05;
   unsigned Stage2Steps = 80;
   unsigned Stage3Steps = 200;
   /// Stage-3 explores aggressively: the latency reward must *discover*
@@ -44,42 +42,29 @@ struct PipelineOptions {
   /// rare, so the clipped token-normalized gradients are small.
   double Stage3LearningRate = 0.5;
 
-  GRPOOptions GRPO; ///< shared defaults; Mode is set per stage
+  /// Shared settings of the three GRPO stages and of the stage-2 warm-up
+  /// SFT. The pipeline owns GRPO.{Mode, Seed, TraceLabel, Pool,
+  /// Verify.Cache, Verify.Faults} and SFT.Seed and sets them per stage;
+  /// every other field is the caller's. GRPO.Verify is the training
+  /// verification ladder (see the constructor for its budget).
+  GRPOOptions GRPO;
   SFTOptions SFT;
-  /// Verification budget during training (cheaper than evaluation).
-  VerifyOptions TrainVerify = trainVerifyDefaults();
   uint64_t Seed = 2026;
 
   /// Verification and scoring worker threads, shared by all three GRPO
   /// stages. Generation stays sequential, so results are bit-identical at
-  /// any setting (see GRPOOptions::Threads).
+  /// any setting (see GRPOOptions::Pool).
   unsigned Threads = 1;
-  /// Verify-memo capacity in entries; 0 disables the cache. The cache is
-  /// shared across stages (keys carry the full verification budget).
-  size_t VerifyCacheCapacity = 4096;
 
   //===--- Fault-tolerant runtime ---------------------------------------===//
 
-  /// Escalating verification retry ladder (verify/Ladder.h): budget-bound
-  /// Inconclusives are re-asked at geometrically larger budgets. 1 tier
-  /// reproduces the plain single-budget behaviour exactly.
-  unsigned VerifyRetryTiers = 3;
-  uint64_t VerifyRetryGrowth = 4;
-
   /// Checkpoint file; empty disables checkpointing. Written every
   /// CheckpointEveryNSteps GRPO steps (0 = only at stage boundaries and on
-  /// halt) via atomic write-then-rename.
+  /// halt) via atomic write-then-rename. A failed write is retried, then
+  /// counted, never an abort: the previous checkpoint stands and training
+  /// continues on the identical trajectory.
   std::string CheckpointPath;
   unsigned CheckpointEveryNSteps = 0;
-  /// Extra save attempts after a failed checkpoint write, each preceded by
-  /// the driver's deterministic capped backoff (driverBackoffMs with
-  /// CheckpointRetryBaseMs/CapMs, keyed on seed + stage + attempt — no
-  /// clock, no randomness). A still-failing write after all retries is
-  /// telemetry, never an abort: the previous checkpoint stands and
-  /// training continues on the identical trajectory.
-  unsigned CheckpointWriteRetries = 2;
-  uint64_t CheckpointRetryBaseMs = 10;
-  uint64_t CheckpointRetryCapMs = 100;
   /// Resume from CheckpointPath when it holds a checkpoint for this Seed;
   /// the resumed run's deterministic artifacts (parameters, logs, harvested
   /// samples) are identical to an uninterrupted run.
@@ -97,8 +82,7 @@ struct PipelineOptions {
   /// the caller from e.g. train_mini's --verdict-store flag) attached under
   /// the run's shared VerifyCache and propagated to evaluation. Warm-store
   /// runs are bit-identical to cold ones — only the verification work is
-  /// skipped. Requires VerifyCacheCapacity > 0 (the store sits under the
-  /// cache). While Faults is set the cache bypasses the tier entirely, so
+  /// skipped. While Faults is set the cache bypasses the tier entirely, so
   /// chaos runs neither read nor warm the store.
   VerdictBackingTier *VerdictTier = nullptr;
 
@@ -108,24 +92,24 @@ struct PipelineOptions {
   /// thread. The result is bit-identical to the serial oracle at any
   /// setting (see Evaluation.h).
   unsigned EvalShards = 1;
-  /// When non-empty, the evaluation writes its shard plan / per-shard
-  /// result JSON here (the multi-process work-unit boundary).
-  std::string EvalShardManifestPath;
-  std::string EvalShardResultDir;
 
-  /// EvalOptions matching this pipeline configuration (shards, cache
-  /// capacity, seed, fault injection). \p Pool may be null for inline
-  /// evaluation.
+  PipelineOptions() {
+    // Training verifies at a cheaper budget than evaluation, through the
+    // default 3-tier, 4x retry ladder.
+    GRPO.Verify.Base = trainVerifyDefaults();
+    // The stage-2 warm-up is light: rudimentary skills only.
+    SFT.Epochs = 2;
+    SFT.LearningRate = 0.05;
+  }
+
+  /// EvalOptions matching this pipeline configuration (shards, fault
+  /// injection, verdict store). \p Pool may be null for inline evaluation.
   EvalOptions makeEvalOptions(ThreadPool *Pool = nullptr) const {
     EvalOptions EO;
     EO.Shards = EvalShards;
     EO.Pool = Pool;
-    EO.VerifyCacheCapacity = VerifyCacheCapacity;
-    EO.Seed = Seed;
     EO.Faults = Faults;
     EO.VerdictTier = VerdictTier;
-    EO.ShardManifestPath = EvalShardManifestPath;
-    EO.ShardResultDir = EvalShardResultDir;
     return EO;
   }
 

@@ -34,12 +34,7 @@ double clipGradient(std::vector<double> &Grad, double MaxNorm) {
 
 GRPOTrainer::GRPOTrainer(RewritePolicyModel &Model, RewardFn Reward,
                          const GRPOOptions &Opts)
-    : Model(Model), Reward(std::move(Reward)), Opts(Opts), R(Opts.Seed) {
-  if (this->Opts.Threads > 1 && !this->Opts.Pool) {
-    OwnedPool = std::make_unique<ThreadPool>(this->Opts.Threads);
-    this->Opts.Pool = OwnedPool.get();
-  }
-}
+    : Model(Model), Reward(std::move(Reward)), Opts(Opts), R(Opts.Seed) {}
 
 TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   struct Rollout {
@@ -83,7 +78,6 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   if (Opts.Verify.Cache)
     Before = Opts.Verify.Cache->counters();
   std::vector<std::unique_ptr<Candidate>> Parsed;
-  ThreadPool *VerifyPool = Opts.Threads > 1 ? Opts.Pool : nullptr;
   for (unsigned PromptIdx = 0; PromptIdx < Batch.size(); ++PromptIdx) {
     const Sample *S = Batch[PromptIdx];
     std::unordered_map<std::string_view, const Candidate *> ByText;
@@ -112,7 +106,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     if (Requests.empty())
       continue;
     std::vector<LadderOutcome> Outs = verifyGroup(
-        Opts.Verify, S->SrcText, *S->source(), Requests, VerifyPool);
+        Opts.Verify, S->SrcText, *S->source(), Requests, Opts.Pool);
     // Retry telemetry is per request, deduplicated or cached or not.
     for (size_t K = 0; K < Outs.size(); ++K) {
       recordLadderTelemetry(Outs[K]);
@@ -133,7 +127,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
       Rollout &Ro = Rollouts[I];
       Ro.Score = Reward(*Ro.S, Ro.C, Ro.Verdicts);
     };
-    if (Opts.Pool && Opts.Threads > 1)
+    if (Opts.Pool)
       Opts.Pool->parallelFor(Rollouts.size(), ScoreOne);
     else
       for (size_t I = 0; I < Rollouts.size(); ++I)

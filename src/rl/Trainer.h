@@ -44,10 +44,10 @@ struct RolloutVerdicts {
 };
 
 /// Stage-specific reward: pure math over (sample, completion, verdicts).
-/// Scoring fans out over a thread pool when GRPOOptions::Threads > 1, so the
-/// function must be safe to call concurrently on distinct completions
-/// (shared state needs its own synchronization — or better, use
-/// GRPOOptions::OnRollout, which runs sequentially).
+/// Scoring fans out over GRPOOptions::Pool, so the function must be safe to
+/// call concurrently on distinct completions (shared state needs its own
+/// synchronization — or better, use GRPOOptions::OnRollout, which runs
+/// sequentially).
 using RewardFn = std::function<RolloutScore(
     const Sample &, const Completion &, const RolloutVerdicts &)>;
 
@@ -67,12 +67,11 @@ struct GRPOOptions {
   PromptMode Mode = PromptMode::Generic;
   uint64_t Seed = 11;
 
-  /// Verification and scoring parallelism. Generation stays sequential
-  /// (each rollout draws from an RNG derived from (Seed, Step, PromptIdx,
-  /// G)), so the trained model and the log's reward/equivalence values are
-  /// bit-identical at any thread count.
-  unsigned Threads = 1;
-  /// Shared pool; when null and Threads > 1 the trainer owns one.
+  /// Verification and scoring fan out over this pool when it has more than
+  /// one thread; null runs them inline. Generation stays sequential (each
+  /// rollout draws from an RNG derived from (Seed, Step, PromptIdx, G)), so
+  /// the trained model and the log's reward/equivalence values are
+  /// bit-identical at any pool width.
   ThreadPool *Pool = nullptr;
   /// The retry ladder each prompt group is verified through (budgets,
   /// optional cache and fault injector). Every answer that passes the
@@ -152,7 +151,6 @@ private:
   RNG R;
   unsigned StepCount = 0;
   EMA Smoother{0.95};
-  std::unique_ptr<ThreadPool> OwnedPool; ///< when Threads > 1 and no Pool
 };
 
 //===--- SFT -----------------------------------------------------------------//

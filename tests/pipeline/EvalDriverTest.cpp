@@ -83,7 +83,6 @@ struct DriverTest : ::testing::Test {
   static constexpr unsigned ValidCount = 8;
   static constexpr uint64_t DatasetSeed = 77;
   static constexpr unsigned NumShards = 4;
-  static constexpr uint64_t PlanSeed = 0xE7A1;
 
   void SetUp() override {
     char Tmpl[] = "/tmp/veriopt-driver-test-XXXXXX";
@@ -101,15 +100,14 @@ struct DriverTest : ::testing::Test {
   }
 
   std::vector<EvalShard> plan() const {
-    return planEvalShards(Valid.size(), NumShards, PlanSeed);
+    return planEvalShards(Valid.size(), NumShards);
   }
 
   /// Write the manifest and build driver options with the given extra
   /// worker flags (fault injections).
   EvalDriverOptions opts(std::vector<std::string> Extra = {}) {
     EXPECT_TRUE(writeFileAtomic(Dir + "/manifest.json",
-                                shardManifestToJson(plan(), PlanSeed,
-                                                    Valid.size())));
+                                shardManifestToJson(plan(), Valid.size())));
     EvalDriverOptions O;
     O.ManifestPath = Dir + "/manifest.json";
     O.ResultDir = Dir;
@@ -122,7 +120,6 @@ struct DriverTest : ::testing::Test {
     O.BackoffBaseMs = 10;
     O.BackoffCapMs = 50;
     O.WorkerDeadlineMs = 60000;
-    O.Seed = PlanSeed;
     return O;
   }
 

@@ -175,6 +175,28 @@ TEST(FaultTolerance, SurvivesFaultStormWithoutHanging) {
   std::remove(Path.c_str());
 }
 
+TEST(FaultTolerance, SingleTierLadderNeverEscalates) {
+  // GRPO.Verify.MaxTiers is the run's one retry-ladder setting: with one
+  // tier, injected oracle exhaustion is terminal instead of re-asked.
+  const Dataset &DS = smallDataset();
+  FaultInjector FI(1234);
+  FI.enable(FaultSite::OracleBudget, 0.3);
+  PipelineOptions P = smallOptions();
+  P.Faults = &FI;
+  P.GRPO.Verify.MaxTiers = 1;
+  PipelineArtifacts Art = runTrainingPipeline(DS, P);
+
+  EXPECT_GT(FI.counters().injected(FaultSite::OracleBudget), 0u);
+  uint64_t RetryEscalations = 0, TerminalInconclusive = 0;
+  for (const auto *Log : {&Art.Stage1Log, &Art.Stage2Log, &Art.Stage3Log})
+    for (const TrainLogEntry &E : *Log) {
+      RetryEscalations += E.RetryEscalations;
+      TerminalInconclusive += E.TerminalInconclusive;
+    }
+  EXPECT_EQ(RetryEscalations, 0u);
+  EXPECT_GE(TerminalInconclusive, 1u);
+}
+
 TEST(FaultTolerance, CheckpointRetriesRecoverTransientWriteFaults) {
   // Injection keys are attempt-salted, so a retry of a failed checkpoint
   // write decides independently of the first attempt: at rate 0.5 with two
@@ -192,7 +214,6 @@ TEST(FaultTolerance, CheckpointRetriesRecoverTransientWriteFaults) {
   P.Faults = &FI;
   P.CheckpointPath = Path;
   P.CheckpointEveryNSteps = 1;
-  P.CheckpointWriteRetries = 2;
   PipelineArtifacts Art = runTrainingPipeline(DS, P);
 
   EXPECT_FALSE(Art.Halted);

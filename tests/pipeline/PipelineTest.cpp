@@ -9,6 +9,7 @@
 
 #include "pipeline/Evaluation.h"
 #include "pipeline/Pipeline.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -140,6 +141,49 @@ TEST_F(PipelineFixture, CorrectnessStaysHighAfterLatencyStage) {
   // correctness (within a small band).
   EXPECT_GE(Lat.Taxonomy.pct(Lat.Taxonomy.Correct),
             Corr.Taxonomy.pct(Corr.Taxonomy.Correct) - 15.0);
+}
+
+TEST(PipelineOptions, TrainingDefaultsLiveInTheStageOptions) {
+  // Training's verification budget and the warm-up SFT schedule have one
+  // home each: the stage options the pipeline hands to the trainers.
+  const PipelineOptions P;
+  const VerifyOptions Want = PipelineOptions::trainVerifyDefaults();
+  const VerifyOptions &Got = P.GRPO.Verify.Base;
+  EXPECT_EQ(Got.MaxPaths, Want.MaxPaths);
+  EXPECT_EQ(Got.MaxBlockVisitsPerPath, Want.MaxBlockVisitsPerPath);
+  EXPECT_EQ(Got.MaxStepsPerPath, Want.MaxStepsPerPath);
+  EXPECT_EQ(Got.SolverConflictBudget, Want.SolverConflictBudget);
+  EXPECT_EQ(Got.StrictLoops, Want.StrictLoops);
+  EXPECT_EQ(Got.FalsifyTrials, Want.FalsifyTrials);
+  EXPECT_EQ(Got.FuelBudget, Want.FuelBudget);
+  EXPECT_EQ(Got.MaxCandidateBytes, Want.MaxCandidateBytes);
+  EXPECT_EQ(Got.MaxCandidateInsts, Want.MaxCandidateInsts);
+  EXPECT_EQ(P.SFT.Epochs, 2u);
+  EXPECT_EQ(P.SFT.LearningRate, 0.05);
+}
+
+TEST(PipelineOptions, CallerRolloutHookSeesEveryStage) {
+  // The stage-1 sample harvester chains the caller's hook instead of
+  // replacing it, so the hook observes every rollout of all three stages.
+  DatasetOptions O;
+  O.TrainCount = 8;
+  O.ValidCount = 0;
+  O.Seed = 77;
+  const Dataset DS = buildDataset(O);
+  PipelineOptions P;
+  P.Stage1Steps = 2;
+  P.Stage2Steps = 2;
+  P.Stage3Steps = 2;
+  P.GRPO.GroupSize = 4;
+  P.GRPO.PromptsPerStep = 2;
+  uint64_t Calls = 0;
+  P.GRPO.OnRollout = [&Calls](const Sample &, const Completion &,
+                              const RolloutScore &) { ++Calls; };
+  Counter &Rollouts = MetricsRegistry::global().counter("grpo.rollouts");
+  const uint64_t Before = Rollouts.value();
+  runTrainingPipeline(DS, P);
+  EXPECT_EQ(Calls, Rollouts.value() - Before);
+  EXPECT_EQ(Calls, 3u * 2 * 2 * 4);
 }
 
 TEST(Evaluation, TaxonomyRendering) {

@@ -11,12 +11,12 @@
 
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
 namespace veriopt {
 namespace {
@@ -83,7 +83,7 @@ void expectResultEq(const EvalResult &A, const EvalResult &B) {
 
 TEST(ShardedEval, PlanCoversCorpusWithContiguousDisjointShards) {
   for (unsigned Shards : {1u, 3u, 7u, 24u, 30u}) {
-    auto Plan = planEvalShards(24, Shards, 0xE7A1);
+    auto Plan = planEvalShards(24, Shards);
     ASSERT_EQ(Plan.size(), Shards);
     size_t Next = 0;
     for (unsigned I = 0; I < Shards; ++I) {
@@ -97,23 +97,13 @@ TEST(ShardedEval, PlanCoversCorpusWithContiguousDisjointShards) {
 }
 
 TEST(ShardedEval, ShardSizesDifferByAtMostOne) {
-  auto Plan = planEvalShards(25, 4, 1);
+  auto Plan = planEvalShards(25, 4);
   size_t Min = 25, Max = 0;
   for (const EvalShard &S : Plan) {
     Min = std::min(Min, S.End - S.Begin);
     Max = std::max(Max, S.End - S.Begin);
   }
   EXPECT_LE(Max - Min, 1u);
-}
-
-TEST(ShardedEval, DerivedSeedsAreStableAndDistinct) {
-  EXPECT_EQ(deriveShardSeed(42, 0), deriveShardSeed(42, 0));
-  EXPECT_NE(deriveShardSeed(42, 0), deriveShardSeed(42, 1));
-  EXPECT_NE(deriveShardSeed(42, 0), deriveShardSeed(43, 0));
-  // Plans embed the derived seed so an out-of-process shard runner needs
-  // only the manifest.
-  auto Plan = planEvalShards(10, 2, 42);
-  EXPECT_EQ(Plan[1].RngSeed, deriveShardSeed(42, 1));
 }
 
 //===--- The differential guarantee -----------------------------------------===//
@@ -162,16 +152,12 @@ TEST(ShardedEval, ZeroShardsMeansOnePerPoolThread) {
   EvalOptions EO;
   EO.Shards = 0;
   EO.Pool = &Pool;
-  EO.ShardResultDir = testing::TempDir();
+  Counter &ShardsRun = MetricsRegistry::global().counter("eval.shards");
+  const uint64_t Before = ShardsRun.value();
   EvalResult R = evaluateModelSharded(Base, ds().Valid, PromptMode::Generic,
                                       VerifyOptions(), EO);
   EXPECT_EQ(R.Taxonomy.Total, ds().Valid.size());
-  // Shard files 0..numThreads-1 must exist.
-  for (unsigned I = 0; I < Pool.numThreads(); ++I) {
-    std::ifstream IS(EO.ShardResultDir + "/shard_" + std::to_string(I) +
-                     ".json");
-    EXPECT_TRUE(IS.good()) << "missing shard result " << I;
-  }
+  EXPECT_EQ(ShardsRun.value() - Before, Pool.numThreads());
 }
 
 //===--- Fault tolerance of the merge ----------------------------------------===//
@@ -215,8 +201,8 @@ TEST(ShardedEval, MergeToleratesInconclusiveHeavyShard) {
 //===--- Serialization -------------------------------------------------------===//
 
 TEST(ShardedEval, ManifestRoundTrips) {
-  auto Plan = planEvalShards(101, 7, 0xDEADBEEFCAFEF00DULL);
-  std::string Json = shardManifestToJson(Plan, 0xDEADBEEFCAFEF00DULL, 101);
+  auto Plan = planEvalShards(101, 7);
+  std::string Json = shardManifestToJson(Plan, 101);
   std::vector<EvalShard> Back;
   std::string Err;
   ASSERT_TRUE(shardManifestFromJson(Json, Back, &Err)) << Err;
@@ -225,7 +211,6 @@ TEST(ShardedEval, ManifestRoundTrips) {
     EXPECT_EQ(Back[I].Index, Plan[I].Index);
     EXPECT_EQ(Back[I].Begin, Plan[I].Begin);
     EXPECT_EQ(Back[I].End, Plan[I].End);
-    EXPECT_EQ(Back[I].RngSeed, Plan[I].RngSeed) << "bit-exact seed";
   }
 }
 
@@ -233,7 +218,7 @@ TEST(ShardedEval, ManifestRejectsMalformedInput) {
   std::vector<EvalShard> Plan;
   std::string Err;
   EXPECT_FALSE(shardManifestFromJson("{broken", Plan, &Err));
-  EXPECT_FALSE(shardManifestFromJson("{\"seed\":\"00\"}", Plan, &Err));
+  EXPECT_FALSE(shardManifestFromJson("{\"samples\":1}", Plan, &Err));
   EXPECT_NE(Err.find("shards"), std::string::npos) << Err;
   EXPECT_FALSE(shardManifestFromJson(
       "{\"shards\":[{\"index\":0,\"begin\":0}]}", Plan, &Err));
@@ -241,7 +226,7 @@ TEST(ShardedEval, ManifestRejectsMalformedInput) {
 
 TEST(ShardedEval, ShardResultRoundTripsBitExactly) {
   RewritePolicyModel Base(presetQwen3B());
-  auto Plan = planEvalShards(ds().Valid.size(), 3, 0xE7A1);
+  auto Plan = planEvalShards(ds().Valid.size(), 3);
   for (const EvalShard &S : Plan) {
     ShardEvalResult R = evaluateEvalShard(Base, ds().Valid,
                                           PromptMode::Generic,
@@ -251,7 +236,6 @@ TEST(ShardedEval, ShardResultRoundTripsBitExactly) {
     std::string Err;
     ASSERT_TRUE(shardResultFromJson(Json, Back, &Err)) << Err;
     EXPECT_EQ(Back.Shard.Index, R.Shard.Index);
-    EXPECT_EQ(Back.Shard.RngSeed, R.Shard.RngSeed);
     EXPECT_EQ(Back.Taxonomy.Total, R.Taxonomy.Total);
     ASSERT_EQ(Back.PerSample.size(), R.PerSample.size());
     for (size_t I = 0; I < R.PerSample.size(); ++I)
@@ -266,7 +250,7 @@ TEST(ShardedEval, MergingDeserializedShardsEqualsSerialOracle) {
   RewritePolicyModel Base(presetQwen3B());
   EvalResult Oracle = evaluateModel(Base, ds().Valid, PromptMode::Generic);
 
-  auto Plan = planEvalShards(ds().Valid.size(), 4, 0xE7A1);
+  auto Plan = planEvalShards(ds().Valid.size(), 4);
   std::vector<ShardEvalResult> Shards;
   // Deliberately out of order: results may arrive in any order from
   // independent processes.
@@ -297,8 +281,7 @@ namespace {
 /// semantic error.
 ShardEvalResult tinyResult() {
   ShardEvalResult R;
-  R.Shard = {/*Index=*/0, /*Begin=*/0, /*End=*/2,
-             deriveShardSeed(0xE7A1, 0)};
+  R.Shard = {/*Index=*/0, /*Begin=*/0, /*End=*/2};
   R.Taxonomy.Total = 2;
   R.Taxonomy.Correct = 1;
   R.Taxonomy.CorrectCopies = 1;

@@ -196,7 +196,7 @@ std::string syntheticRun() {
      << "\n";
   OS << R"({"name":"eval.shard","ph":"X","ts_ns":100,"dur_ns":6000000,"tid":6,"seq":0,"args":{"shard":0,"begin":0,"end":10,"samples":10,"correct":8,"semantic_error":1,"syntax_error":1,"inconclusive":0}})"
      << "\n";
-  OS << R"({"name":"eval.run","ph":"X","ts_ns":0,"dur_ns":7000000,"tid":6,"seq":1,"args":{"shards":2,"samples":20,"correct":14,"inconclusive":3,"model":"qwen-3b","batch_verify":true}})"
+  OS << R"({"name":"eval.run","ph":"X","ts_ns":0,"dur_ns":7000000,"tid":6,"seq":1,"args":{"shards":2,"samples":20,"correct":14,"inconclusive":3,"model":"qwen-3b"}})"
      << "\n";
   return OS.str();
 }

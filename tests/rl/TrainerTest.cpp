@@ -108,11 +108,12 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
                        std::vector<double> &ParamsOut) {
     RewritePolicyModel Model(presetQwen3B());
     auto Cache = UseCache ? std::make_unique<VerifyCache>(512) : nullptr;
+    ThreadPool Pool(Threads);
     GRPOOptions G;
     G.GroupSize = 6;
     G.PromptsPerStep = 3;
     G.Seed = 7;
-    G.Threads = Threads;
+    G.Pool = &Pool;
     G.Verify.Base.FalsifyTrials = 8;
     G.Verify.Base.SolverConflictBudget = 20000;
     G.Verify.MaxTiers = 1;
@@ -174,7 +175,6 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
     G.GroupSize = 6;
     G.PromptsPerStep = 3;
     G.Seed = 7;
-    G.Threads = Threads;
     G.Pool = &Pool;
     G.Verify = Ladder;
     G.Verify.Cache = &Cache;
@@ -335,10 +335,10 @@ TEST(Trainer, RolloutHookSeesEveryRolloutInOrder) {
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
-  G.Threads = 4;
   std::vector<const Sample *> SerialOrder, ParallelOrder;
   for (auto *Order : {&SerialOrder, &ParallelOrder}) {
-    G.Threads = Order == &SerialOrder ? 1 : 4;
+    ThreadPool Pool(Order == &SerialOrder ? 1 : 4);
+    G.Pool = &Pool;
     G.OnRollout = [Order](const Sample &S, const Completion &,
                           const RolloutScore &) { Order->push_back(&S); };
     RewritePolicyModel M(presetQwen3B());

@@ -83,11 +83,12 @@ std::vector<TraceEvent> tracedRun(unsigned Threads) {
   R.enable();
 
   RewritePolicyModel Model(presetQwen3B());
+  ThreadPool Pool(Threads);
   GRPOOptions G;
   G.GroupSize = 4;
   G.PromptsPerStep = 2;
   G.Seed = 17;
-  G.Threads = Threads;
+  G.Pool = &Pool;
   G.TraceLabel = "stage1";
   G.Verify.Base.FalsifyTrials = 8;
   G.Verify.MaxTiers = 1;

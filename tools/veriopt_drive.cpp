@@ -99,7 +99,7 @@ struct DriveConfig {
   std::string Dir, WorkerPath, TracePath, StorePath;
   unsigned ValidCount = 24, Shards = 4, Workers = 2, MaxAttempts = 3;
   uint64_t DatasetSeed = 2026, TimeoutMs = 120000, BackoffMs = 50,
-           BackoffCapMs = 2000, PlanSeed = 0xE7A1;
+           BackoffCapMs = 2000;
   bool Resume = true;
   std::vector<std::string> InjectArgs; ///< forwarded to every worker
 };
@@ -107,11 +107,9 @@ struct DriveConfig {
 /// Plan + manifest + driver run over an already built corpus size.
 bool runOnce(const DriveConfig &C, size_t CorpusSize, EvalDriverReport &Out,
              std::string *Err) {
-  auto Plan = planEvalShards(CorpusSize, C.Shards, C.PlanSeed);
+  auto Plan = planEvalShards(CorpusSize, C.Shards);
   const std::string Manifest = C.Dir + "/manifest.json";
-  if (!writeFileAtomic(Manifest,
-                       shardManifestToJson(Plan, C.PlanSeed, CorpusSize),
-                       Err))
+  if (!writeFileAtomic(Manifest, shardManifestToJson(Plan, CorpusSize), Err))
     return false;
 
   EvalDriverOptions DO;
@@ -130,7 +128,6 @@ bool runOnce(const DriveConfig &C, size_t CorpusSize, EvalDriverReport &Out,
   DO.BackoffBaseMs = C.BackoffMs;
   DO.BackoffCapMs = C.BackoffCapMs;
   DO.WorkerDeadlineMs = C.TimeoutMs;
-  DO.Seed = C.PlanSeed;
   DO.Resume = C.Resume;
   return runEvalDriver(DO, presetQwen3B().Name, Out, Err);
 }
@@ -165,7 +162,7 @@ int chaosGate(DriveConfig C) {
   Dataset DS = buildDataset(DOpts);
   RewritePolicyModel Model(presetQwen3B());
   EvalResult Oracle = evaluateModel(Model, DS.Valid, PromptMode::Generic);
-  auto Plan = planEvalShards(DS.Valid.size(), C.Shards, C.PlanSeed);
+  auto Plan = planEvalShards(DS.Valid.size(), C.Shards);
 
   unsigned Failures = 0;
   auto gate = [&](bool Ok, const char *What) {
