@@ -49,7 +49,7 @@ int main() {
 
   std::printf("\nharvested diagnostic-augmented samples: %u corrections + "
               "%u first-time\n",
-              Art.CorrectionSamples, Art.FirstTimeSamples);
+              Art.correctionSamples(), Art.firstTimeSamples());
   std::printf("paper reference: each stage adds critical improvements; "
               "MODEL-LATENCY also matches/raises correctness relative to "
               "MODEL-CORRECTNESS\n");

@@ -196,7 +196,7 @@ int main(int argc, char **argv) {
               Art.UMax);
   std::printf("  harvested %u correction + %u first-time augmented "
               "samples\n\n",
-              Art.CorrectionSamples, Art.FirstTimeSamples);
+              Art.correctionSamples(), Art.firstTimeSamples());
 
   P.EvalShards = EvalShards;
   ThreadPool EvalPool(EvalThreads);

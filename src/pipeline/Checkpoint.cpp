@@ -2,6 +2,7 @@
 
 #include "pipeline/Checkpoint.h"
 
+#include "model/Policy.h"
 #include "support/AtomicFile.h"
 #include "support/FileLock.h"
 #include "trace/Json.h"
@@ -37,15 +38,10 @@ bool readParams(std::istream &IS, const char *Name, std::vector<double> &P) {
 void writeLog(std::ostream &OS, unsigned Which,
               const std::vector<TrainLogEntry> &Log) {
   OS << "log " << Which << ' ' << Log.size() << '\n';
-  for (const TrainLogEntry &E : Log) {
+  for (const TrainLogEntry &E : Log)
     OS << E.Step << ' ' << hexDouble(E.MeanReward) << ' '
        << hexDouble(E.EMAReward) << ' ' << hexDouble(E.EquivalentRate) << ' '
-       << hexDouble(E.CopyRate) << ' ' << hexDouble(E.GradNorm) << ' '
-       << hexDouble(E.ScoreWallMs) << ' ' << hexDouble(E.CacheHitRate) << ' '
-       << E.FalsifyWins << ' '
-       << E.SolverConflicts << ' ' << E.RetryEscalations << ' '
-       << E.TerminalInconclusive << ' ' << E.MaxRetryTier << '\n';
-  }
+       << hexDouble(E.CopyRate) << ' ' << hexDouble(E.GradNorm) << '\n';
 }
 
 bool readLog(std::istream &IS, unsigned Which,
@@ -57,18 +53,14 @@ bool readLog(std::istream &IS, unsigned Which,
     return false;
   Log.resize(N);
   for (TrainLogEntry &E : Log) {
-    std::string D[7];
-    if (!(IS >> E.Step >> D[0] >> D[1] >> D[2] >> D[3] >> D[4] >> D[5] >>
-          D[6] >> E.FalsifyWins >> E.SolverConflicts >> E.RetryEscalations >>
-          E.TerminalInconclusive >> E.MaxRetryTier))
+    std::string D[5];
+    if (!(IS >> E.Step >> D[0] >> D[1] >> D[2] >> D[3] >> D[4]))
       return false;
     if (!parseHexDouble(D[0], E.MeanReward) ||
         !parseHexDouble(D[1], E.EMAReward) ||
         !parseHexDouble(D[2], E.EquivalentRate) ||
         !parseHexDouble(D[3], E.CopyRate) ||
-        !parseHexDouble(D[4], E.GradNorm) ||
-        !parseHexDouble(D[5], E.ScoreWallMs) ||
-        !parseHexDouble(D[6], E.CacheHitRate))
+        !parseHexDouble(D[4], E.GradNorm))
       return false;
   }
   return true;
@@ -80,13 +72,14 @@ void writeActions(std::ostream &OS, const std::vector<unsigned> &A) {
     OS << ' ' << V;
 }
 
+/// Reads action codes, rejecting any that name no Action.
 bool readActions(std::istream &IS, std::vector<unsigned> &A) {
   size_t N;
   if (!(IS >> N))
     return false;
   A.resize(N);
   for (unsigned &V : A)
-    if (!(IS >> V))
+    if (!(IS >> V) || V >= NumActions)
       return false;
   return true;
 }
@@ -133,8 +126,6 @@ bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
     writeActions(OS, R.AttemptActions);
     OS << '\n';
   }
-  OS << "counts " << CP.CorrectionSamples << ' ' << CP.FirstTimeSamples
-     << '\n';
   OS << "end\n";
 
   // Atomic + durable write-then-rename (support/AtomicFile.h): a crash —
@@ -156,7 +147,7 @@ bool loadCheckpoint(const std::string &Path, PipelineCheckpoint &CP) {
   std::string Magic;
   PipelineCheckpoint Out;
   if (!(F >> Magic >> Out.Version) || Magic != "veriopt-ckpt" ||
-      Out.Version != 1)
+      Out.Version != PipelineCheckpoint().Version)
     return false;
   std::string Kw, EmaHex;
   unsigned Primed;
@@ -184,13 +175,11 @@ bool loadCheckpoint(const std::string &Path, PipelineCheckpoint &CP) {
   for (AugmentedRecord &R : Out.Augmented) {
     unsigned Corr;
     if (!(F >> R.SampleIdx >> Corr >> R.DiagClass) ||
-        !readActions(F, R.TargetActions) || !readActions(F, R.AttemptActions))
+        R.DiagClass >= NumDiagClasses || !readActions(F, R.TargetActions) ||
+        !readActions(F, R.AttemptActions))
       return false;
     R.IsCorrection = Corr != 0;
   }
-  if (!(F >> Kw >> Out.CorrectionSamples >> Out.FirstTimeSamples) ||
-      Kw != "counts")
-    return false;
   if (!(F >> Kw) || Kw != "end")
     return false;
   CP = std::move(Out);

@@ -39,7 +39,9 @@ struct AugmentedRecord {
 /// progress (warm-up SFT already folded into WarmUpParams), 2 = stage-3
 /// GRPO in progress, 3 = pipeline complete.
 struct PipelineCheckpoint {
-  unsigned Version = 1;
+  /// Format version; loadCheckpoint accepts only this one (version 1 also
+  /// carried per-step verifier telemetry and sample counts).
+  unsigned Version = 2;
   uint64_t Seed = 0;     ///< PipelineOptions::Seed, verified on resume
   unsigned StageIdx = 0;
   GRPOTrainerState Trainer; ///< state of the in-progress stage's trainer
@@ -53,8 +55,6 @@ struct PipelineCheckpoint {
   std::vector<TrainLogEntry> Stage1Log, Stage2Log, Stage3Log;
 
   std::vector<AugmentedRecord> Augmented;
-  unsigned CorrectionSamples = 0;
-  unsigned FirstTimeSamples = 0;
 };
 
 /// Atomically write \p CP to \p Path (via "<path>.tmp" + rename). Returns
@@ -68,8 +68,10 @@ struct PipelineCheckpoint {
 bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
                     FaultInjector *Faults = nullptr, unsigned Attempt = 1);
 
-/// Load \p Path into \p CP. Returns false (leaving \p CP default) when the
-/// file is missing, truncated, or not a compatible checkpoint.
+/// Load \p Path into \p CP. Returns false (leaving \p CP untouched) when
+/// the file is missing, truncated, or not a compatible checkpoint — another
+/// version, or an augmented record whose action code or diagnosis class is
+/// out of range.
 bool loadCheckpoint(const std::string &Path, PipelineCheckpoint &CP);
 
 } // namespace veriopt

@@ -86,8 +86,25 @@ static void captureAugmented(PipelineCheckpoint &CP,
     R.DiagClass = Ex.DiagClassTarget;
     CP.Augmented.push_back(std::move(R));
   }
-  CP.CorrectionSamples = Art.CorrectionSamples;
-  CP.FirstTimeSamples = Art.FirstTimeSamples;
+}
+
+/// Whether \p CP can resume this run: same seed, every saved model of
+/// \p NumParams parameters, every harvested record indexing this run's
+/// training split. Anything else means a different configuration, and the
+/// run starts fresh rather than training on mismatched state.
+static bool resumable(const PipelineCheckpoint &CP, uint64_t Seed,
+                      size_t NumParams, const Dataset &DS) {
+  if (CP.Seed != Seed)
+    return false;
+  for (const std::vector<double> *P :
+       {&CP.ModelZeroParams, &CP.WarmUpParams, &CP.CorrectnessParams,
+        &CP.LatencyParams})
+    if (!P->empty() && P->size() != NumParams)
+      return false;
+  return std::all_of(CP.Augmented.begin(), CP.Augmented.end(),
+                     [&](const AugmentedRecord &R) {
+                       return R.SampleIdx < DS.Train.size();
+                     });
 }
 
 /// Re-bind checkpointed SFT records to this run's dataset.
@@ -96,8 +113,6 @@ static void rebuildAugmented(PipelineArtifacts &Art,
   Art.Augmented.clear();
   Art.Augmented.reserve(CP.Augmented.size());
   for (const AugmentedRecord &R : CP.Augmented) {
-    if (R.SampleIdx >= DS.Train.size())
-      continue; // checkpoint from a different dataset; drop defensively
     SFTExample Ex;
     Ex.S = &DS.Train[R.SampleIdx];
     Ex.TargetActions = decodeActions(R.TargetActions);
@@ -106,8 +121,16 @@ static void rebuildAugmented(PipelineArtifacts &Art,
     Ex.DiagClassTarget = R.DiagClass;
     Art.Augmented.push_back(std::move(Ex));
   }
-  Art.CorrectionSamples = CP.CorrectionSamples;
-  Art.FirstTimeSamples = CP.FirstTimeSamples;
+}
+
+unsigned PipelineArtifacts::correctionSamples() const {
+  return static_cast<unsigned>(
+      std::count_if(Augmented.begin(), Augmented.end(),
+                    [](const SFTExample &Ex) { return Ex.IsCorrection; }));
+}
+
+unsigned PipelineArtifacts::firstTimeSamples() const {
+  return static_cast<unsigned>(Augmented.size()) - correctionSamples();
 }
 
 PipelineArtifacts runTrainingPipeline(const Dataset &DS,
@@ -150,7 +173,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   if (Opts.Resume && !Opts.CheckpointPath.empty()) {
     PipelineCheckpoint Loaded;
     if (loadCheckpoint(Opts.CheckpointPath, Loaded) &&
-        Loaded.Seed == Opts.Seed) {
+        resumable(Loaded, Opts.Seed, Art.Base->numParams(), DS)) {
       CP = std::move(Loaded);
       Resumed = true;
     }
@@ -162,8 +185,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     if (P.empty())
       return nullptr;
     auto M = std::make_unique<RewritePolicyModel>(Opts.BaseModel);
-    if (P.size() == M->numParams())
-      M->params() = P;
+    M->params() = P; // sized by resumable()
     return M;
   };
   if (Resumed) {
@@ -212,8 +234,11 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
     // a checkpoint. A write that still fails after every attempt is
     // telemetry (the previous checkpoint stands) and training continues on
     // the identical trajectory.
-    static Counter &RetriesCounter =
-        MetricsRegistry::global().counter("io.checkpoint.retries");
+    MetricsRegistry &Reg = MetricsRegistry::global();
+    static Counter &Retries = Reg.counter("io.checkpoint.retries");
+    static Counter &Written = Reg.counter("io.checkpoint.written");
+    static Counter &WriteFailures =
+        Reg.counter("io.checkpoint.write_failures");
     bool Ok = false;
     unsigned Attempts = 0;
     for (unsigned A = 1; A <= 1 + CheckpointExtraAttempts && !Ok; ++A) {
@@ -223,16 +248,15 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
                             CheckpointBackoffBaseMs, CheckpointBackoffCapMs);
         if (DelayMs)
           std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-        ++Art.CheckpointRetries;
-        RetriesCounter.inc();
+        Retries.inc();
       }
       Attempts = A;
       Ok = saveCheckpoint(Opts.CheckpointPath, Snap, Opts.Faults, A);
     }
     if (Ok)
-      ++Art.CheckpointsWritten;
+      Written.inc();
     else
-      ++Art.CheckpointWriteFailures; // previous checkpoint still stands
+      WriteFailures.inc(); // the previous checkpoint still stands
     // "ok"/"attempts" ride the meta plane: whether a disk write succeeded
     // is durability-plane information and must not perturb the
     // deterministic args multiset under I/O faults.
@@ -311,7 +335,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
           Ex.AttemptActions = C.Actions;
           Ex.DiagClassTarget = diagKindClass(Score.AnswerVerify.Kind);
           Art.Augmented.push_back(std::move(Ex));
-          ++Art.CorrectionSamples;
         }
         if (Caller)
           Caller(S, C, Score);
@@ -329,7 +352,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
         Ex.IsCorrection = false;
         Ex.DiagClassTarget = 0; // a clean attempt verifies
         Art.Augmented.push_back(std::move(Ex));
-        ++Art.FirstTimeSamples;
       }
 
       //===--- Stage 2 warm-up: SFT from the pretrained base (Fig. 3) ----===//

@@ -122,7 +122,9 @@ struct PipelineOptions {
 };
 
 /// Everything the pipeline produces: the four model snapshots, training
-/// logs (Fig. 4), the harvested sample set, and U_max.
+/// logs (Fig. 4), the harvested sample set, and U_max. Run telemetry
+/// (verifier cost, checkpoint writes and retries) lives in the metrics
+/// registry and the trace, not here.
 struct PipelineArtifacts {
   std::unique_ptr<RewritePolicyModel> Base;        ///< untouched base
   std::unique_ptr<RewritePolicyModel> ModelZero;   ///< stage-1 policy
@@ -135,16 +137,12 @@ struct PipelineArtifacts {
   std::vector<TrainLogEntry> Stage3Log; ///< Fig. 4(b)
 
   std::vector<SFTExample> Augmented; ///< harvested diagnostic samples
-  unsigned CorrectionSamples = 0;
-  unsigned FirstTimeSamples = 0;
   double UMax = 3.0;
+  bool Halted = false; ///< stopped early via HaltAfterSteps
 
-  // Fault-tolerant-runtime instrumentation. Verifier cost lives in the
-  // per-step TrainLogEntry fields and the verify.* / smt.* metrics.
-  bool Halted = false;            ///< stopped early via HaltAfterSteps
-  unsigned CheckpointsWritten = 0;
-  unsigned CheckpointWriteFailures = 0; ///< injected or real; run continued
-  uint64_t CheckpointRetries = 0;       ///< extra save attempts consumed
+  /// Stage-1 correction samples and first-time samples in Augmented.
+  unsigned correctionSamples() const;
+  unsigned firstTimeSamples() const;
 };
 
 /// Run the full pipeline over \p DS (built by the caller so benches can

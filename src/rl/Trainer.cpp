@@ -207,23 +207,19 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   Log.EMAReward = Smoother.push(Log.MeanReward);
   Log.EquivalentRate = N ? static_cast<double>(EquivCount) / N : 0;
   Log.CopyRate = N ? static_cast<double>(CopyCount) / N : 0;
-  Log.ScoreWallMs =
+  const double ScoreWallMs =
       std::chrono::duration<double, std::milli>(ScoreEnd - ScoreStart)
           .count();
-  if (Opts.Verify.Cache) {
-    VerifyCache::Counters After = Opts.Verify.Cache->counters();
-    uint64_t Lookups = After.lookups() - Before.lookups();
-    Log.CacheHitRate =
-        Lookups ? static_cast<double>(After.Hits - Before.Hits) / Lookups
-                : 0.0;
-  }
-  Log.FalsifyWins = FalsifyWins;
-  Log.SolverConflicts = Conflicts;
-  Log.RetryEscalations = Escalations;
-  Log.TerminalInconclusive = TerminalInconclusive;
-  Log.MaxRetryTier = MaxTier;
 
   if (StepSpan.active()) {
+    double CacheHitRate = 0;
+    if (Opts.Verify.Cache) {
+      VerifyCache::Counters After = Opts.Verify.Cache->counters();
+      uint64_t Lookups = After.lookups() - Before.lookups();
+      CacheHitRate =
+          Lookups ? static_cast<double>(After.Hits - Before.Hits) / Lookups
+                  : 0.0;
+    }
     // Deterministic plane: everything the bit-identical-trajectory guarantee
     // covers. Wall-derived values (score wall time, hit rate) go in meta.
     if (!Opts.TraceLabel.empty())
@@ -234,16 +230,15 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     StepSpan.arg(TraceArg::ofFloat("equivalent_rate", Log.EquivalentRate));
     StepSpan.arg(TraceArg::ofFloat("copy_rate", Log.CopyRate));
     StepSpan.arg(TraceArg::ofFloat("grad_norm", Log.GradNorm));
-    StepSpan.arg(TraceArg::ofInt("falsify_wins", Log.FalsifyWins));
-    StepSpan.arg(TraceArg::ofInt(
-        "solver_conflicts", static_cast<int64_t>(Log.SolverConflicts)));
+    StepSpan.arg(TraceArg::ofInt("falsify_wins", FalsifyWins));
     StepSpan.arg(
-        TraceArg::ofInt("retry_escalations", Log.RetryEscalations));
-    StepSpan.arg(TraceArg::ofInt("terminal_inconclusive",
-                                 Log.TerminalInconclusive));
-    StepSpan.arg(TraceArg::ofInt("max_retry_tier", Log.MaxRetryTier));
-    StepSpan.meta(TraceArg::ofFloat("score_wall_ms", Log.ScoreWallMs));
-    StepSpan.meta(TraceArg::ofFloat("cache_hit_rate", Log.CacheHitRate));
+        TraceArg::ofInt("solver_conflicts", static_cast<int64_t>(Conflicts)));
+    StepSpan.arg(TraceArg::ofInt("retry_escalations", Escalations));
+    StepSpan.arg(
+        TraceArg::ofInt("terminal_inconclusive", TerminalInconclusive));
+    StepSpan.arg(TraceArg::ofInt("max_retry_tier", MaxTier));
+    StepSpan.meta(TraceArg::ofFloat("score_wall_ms", ScoreWallMs));
+    StepSpan.meta(TraceArg::ofFloat("cache_hit_rate", CacheHitRate));
   }
 
   MetricsRegistry &Reg = MetricsRegistry::global();
@@ -253,7 +248,7 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
       Reg.histogram("grpo.score_wall_ms", latencyMsBounds());
   Steps.inc();
   RolloutsScored.inc(N);
-  ScoreWall.observe(Log.ScoreWallMs);
+  ScoreWall.observe(ScoreWallMs);
   Reg.gauge("grpo.ema_reward").set(Log.EMAReward);
   return Log;
 }

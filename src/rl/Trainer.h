@@ -85,8 +85,10 @@ struct GRPOOptions {
   std::string TraceLabel;
 };
 
-/// One training-step log record (drives the Fig. 4 curves, plus the
-/// verifier-cost instrumentation for the parallel scoring path).
+/// One training-step log record: the Fig. 4 curves. Per-step verifier
+/// cost (falsification wins, solver conflicts, retry tiers, scoring wall
+/// time, cache hit rate) is telemetry: it rides the `grpo.step` trace span
+/// and the verify.* / grpo.* metrics, not this record.
 struct TrainLogEntry {
   unsigned Step = 0;
   double MeanReward = 0;
@@ -94,20 +96,6 @@ struct TrainLogEntry {
   double EquivalentRate = 0;
   double CopyRate = 0;
   double GradNorm = 0;
-
-  // Verification/scoring instrumentation (not part of the determinism
-  // guarantee: wall time and hit rate depend on thread count and cache
-  // history).
-  double ScoreWallMs = 0;       ///< wall time of the scoring phase
-  double CacheHitRate = 0;      ///< verify-cache hits / lookups this step
-  unsigned FalsifyWins = 0;     ///< counterexamples found pre-SMT
-  uint64_t SolverConflicts = 0; ///< CDCL conflicts spent this step
-
-  // Retry-ladder telemetry (deterministic: derived from verdicts, and
-  // identical whether a verdict came from the cache or a fresh run).
-  unsigned RetryEscalations = 0;     ///< rollouts verified above tier 0
-  unsigned TerminalInconclusive = 0; ///< budget-bound even at the top tier
-  unsigned MaxRetryTier = 0;         ///< highest tier reached this step
 };
 
 /// Everything needed to restart GRPO training mid-run and produce results

@@ -22,6 +22,16 @@ namespace veriopt {
 
 namespace {
 
+/// Compact at open when (dead + quarantined) / journal lines exceeds this
+/// ratio (dead = superseded duplicates from multi-writer races)...
+constexpr double CompactDeadRatio = 0.5;
+/// ... but never below this many journal lines (tiny journals are not
+/// worth rewriting).
+constexpr size_t CompactMinLines = 64;
+/// Graceful degradation: this many *consecutive* flush failures trip the
+/// store to in-memory-only (see flush()).
+constexpr size_t DegradeAfterFlushFailures = 3;
+
 // Process-wide efficacy counters (docs/OBSERVABILITY.md), mirroring the
 // per-store Stats the same way VerifyCache mirrors its Counters.
 Counter &hitsCounter() {
@@ -363,9 +373,9 @@ std::unique_ptr<VerdictStore> VerdictStore::open(const std::string &Path,
   // Compaction heuristic: reclaim once enough of the journal is dead
   // weight (racing writers' duplicates, quarantined garbage) — but leave
   // small journals alone, the rewrite costs more than it saves.
-  if (St->LinesOnDisk >= O.CompactMinLines &&
+  if (St->LinesOnDisk >= CompactMinLines &&
       static_cast<double>(St->DeadOnDisk) >
-          O.CompactDeadRatio * static_cast<double>(St->LinesOnDisk))
+          CompactDeadRatio * static_cast<double>(St->LinesOnDisk))
     St->compact(nullptr); // best-effort; an I/O failure leaves a valid store
 
   return St;
@@ -419,8 +429,7 @@ void VerdictStore::noteFlushFailureLocked(const std::string &Why) {
   ++S.FlushFailures;
   flushFailuresCounter().inc();
   ++ConsecFlushFailures;
-  if (!Degraded && Opt.DegradeAfterFlushFailures &&
-      ConsecFlushFailures >= Opt.DegradeAfterFlushFailures) {
+  if (!Degraded && ConsecFlushFailures >= DegradeAfterFlushFailures) {
     Degraded = true;
     S.DegradedReason = std::to_string(ConsecFlushFailures) +
                        " consecutive flush failures; last: " + Why;

@@ -57,22 +57,10 @@ namespace veriopt {
 class VerdictStore : public VerdictBackingTier {
 public:
   struct Options {
-    /// Compact at open when (dead + quarantined) / journal lines exceeds
-    /// this ratio (dead = superseded duplicates from multi-writer races).
-    double CompactDeadRatio = 0.5;
-    /// ... but never below this many journal lines (tiny journals are not
-    /// worth rewriting).
-    size_t CompactMinLines = 64;
     /// Write-behind batch size: puts buffer in memory and flush to the
     /// journal (one lock + one durable append) every N records, plus on
     /// flush()/close/destruction.
     size_t FlushEveryN = 32;
-    /// Graceful degradation: after this many *consecutive* flush failures
-    /// the store trips to in-memory-only (sticky for the store's lifetime).
-    /// Degraded puts still update the index — and still count as Writes, so
-    /// the training trajectory's metrics stay bit-identical to a fault-free
-    /// run — but nothing further touches the journal. 0 disables tripping.
-    size_t DegradeAfterFlushFailures = 3;
   };
 
   /// Open (creating if absent) the journal at \p Path. Loads the full
@@ -102,8 +90,11 @@ public:
   /// Durably append all buffered records (under the exclusive file lock).
   /// On failure the in-memory index is still intact; the unflushed batch
   /// is dropped (it will be recomputed and re-put by a later run). After
-  /// Options::DegradeAfterFlushFailures consecutive failures the store
-  /// trips to in-memory-only and flush becomes a successful no-op.
+  /// three consecutive failures the store trips to in-memory-only (sticky
+  /// for the store's lifetime): puts still update the index and still
+  /// count as Writes, so the training trajectory's metrics stay
+  /// bit-identical to a fault-free run, but flush becomes a successful
+  /// no-op and nothing further touches the journal.
   bool flush(std::string *Err = nullptr);
 
   /// Rewrite the journal to live records only: re-reads the file under the

@@ -152,7 +152,7 @@ LadderOutcome verifyWithLadder(const LadderOptions &L,
 std::vector<LadderOutcome>
 verifyGroup(const LadderOptions &L, const std::string &SrcText,
             const Function &Src, const std::vector<const Candidate *> &Cands,
-            ThreadPool *Pool, GroupStats *Stats) {
+            ThreadPool *Pool) {
   TraceSpan Span("batch.verify");
 
   // Canonical dedupe: GRPO's small action space makes byte- or
@@ -195,15 +195,13 @@ verifyGroup(const LadderOptions &L, const std::string &SrcText,
     for (size_t U = 0; U < Unique.size(); ++U)
       RunOne(U);
 
-  GroupStats GS;
-  GS.Candidates = static_cast<unsigned>(Cands.size());
-  GS.Unique = static_cast<unsigned>(Unique.size());
+  const unsigned NumCands = static_cast<unsigned>(Cands.size());
+  const unsigned NumUnique = static_cast<unsigned>(Unique.size());
+  unsigned NumCached = 0, NumComputed = 0;
   for (const LadderOutcome &O : Outs) {
-    GS.CacheHits += O.CacheHits;
-    GS.Computed += O.Computed;
+    NumCached += O.CacheHits;
+    NumComputed += O.Computed;
   }
-  if (Stats)
-    *Stats = GS;
 
   MetricsRegistry &M = MetricsRegistry::global();
   static Counter &Groups = M.counter("batch.groups");
@@ -212,16 +210,16 @@ verifyGroup(const LadderOptions &L, const std::string &SrcText,
   static Counter &CacheHits = M.counter("batch.cache_hits");
   static Counter &Computed = M.counter("batch.computed");
   Groups.inc();
-  Candidates.inc(GS.Candidates);
-  Uniq.inc(GS.Unique);
-  CacheHits.inc(GS.CacheHits);
-  Computed.inc(GS.Computed);
+  Candidates.inc(NumCands);
+  Uniq.inc(NumUnique);
+  CacheHits.inc(NumCached);
+  Computed.inc(NumComputed);
 
   if (Span.active()) {
-    Span.arg(TraceArg::ofInt("candidates", GS.Candidates));
-    Span.arg(TraceArg::ofInt("unique", GS.Unique));
-    Span.arg(TraceArg::ofInt("cached", GS.CacheHits));
-    Span.arg(TraceArg::ofInt("computed", GS.Computed));
+    Span.arg(TraceArg::ofInt("candidates", NumCands));
+    Span.arg(TraceArg::ofInt("unique", NumUnique));
+    Span.arg(TraceArg::ofInt("cached", NumCached));
+    Span.arg(TraceArg::ofInt("computed", NumComputed));
   }
 
   std::vector<LadderOutcome> Aligned(Cands.size());

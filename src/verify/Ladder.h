@@ -103,23 +103,17 @@ LadderOutcome verifyWithLadder(const LadderOptions &L,
                                const Function &Src,
                                const std::string &TgtText);
 
-/// Group-level reuse accounting, also mirrored into batch.* metrics.
-struct GroupStats {
-  unsigned Candidates = 0; ///< requests passed in
-  unsigned Unique = 0;     ///< distinct canonical candidates
-  unsigned CacheHits = 0;  ///< ladder rungs served by the cache
-  unsigned Computed = 0;   ///< ladder rungs computed by this group
-};
-
 /// Verify every candidate in \p Cands against \p Src through one shared
 /// SourceEncoding, built on first need. Canonically equal candidates run
 /// one ladder; unique ones fan out over \p Pool when it has more than one
 /// thread. Returns one outcome per request, aligned with \p Cands. Records
-/// no per-request telemetry (see runLadder).
+/// no per-request telemetry (see runLadder); the group's reuse accounting
+/// (requests, unique candidates, cached and computed rungs) goes to the
+/// batch.* counters and the batch.verify span.
 std::vector<LadderOutcome>
 verifyGroup(const LadderOptions &L, const std::string &SrcText,
             const Function &Src, const std::vector<const Candidate *> &Cands,
-            ThreadPool *Pool = nullptr, GroupStats *Stats = nullptr);
+            ThreadPool *Pool = nullptr);
 
 } // namespace veriopt
 

@@ -2,6 +2,9 @@
 
 #include "pipeline/Checkpoint.h"
 
+#include "model/Policy.h"
+#include "trace/Json.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -47,13 +50,6 @@ PipelineCheckpoint makeRichCheckpoint() {
   E.EquivalentRate = 2.0 / 3.0;
   E.CopyRate = 0.5;
   E.GradNorm = 1e-9;
-  E.ScoreWallMs = 12.5;
-  E.CacheHitRate = 0.875;
-  E.FalsifyWins = 4;
-  E.SolverConflicts = 123456;
-  E.RetryEscalations = 2;
-  E.TerminalInconclusive = 1;
-  E.MaxRetryTier = 2;
   CP.Stage1Log = {E, E};
   E.Step = 9;
   CP.Stage2Log = {E};
@@ -69,8 +65,6 @@ PipelineCheckpoint makeRichCheckpoint() {
   R2.SampleIdx = 0;
   R2.TargetActions = {0};
   CP.Augmented = {R1, R2};
-  CP.CorrectionSamples = 1;
-  CP.FirstTimeSamples = 1;
   return CP;
 }
 
@@ -108,13 +102,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   EXPECT_TRUE(bitEqual(A.EquivalentRate, B.EquivalentRate));
   EXPECT_TRUE(bitEqual(A.CopyRate, B.CopyRate));
   EXPECT_TRUE(bitEqual(A.GradNorm, B.GradNorm));
-  EXPECT_TRUE(bitEqual(A.ScoreWallMs, B.ScoreWallMs));
-  EXPECT_TRUE(bitEqual(A.CacheHitRate, B.CacheHitRate));
-  EXPECT_EQ(A.FalsifyWins, B.FalsifyWins);
-  EXPECT_EQ(A.SolverConflicts, B.SolverConflicts);
-  EXPECT_EQ(A.RetryEscalations, B.RetryEscalations);
-  EXPECT_EQ(A.TerminalInconclusive, B.TerminalInconclusive);
-  EXPECT_EQ(A.MaxRetryTier, B.MaxRetryTier);
 
   ASSERT_EQ(L.Augmented.size(), 2u);
   EXPECT_EQ(L.Augmented[0].SampleIdx, 5u);
@@ -123,8 +110,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   EXPECT_EQ(L.Augmented[0].AttemptActions, CP.Augmented[0].AttemptActions);
   EXPECT_EQ(L.Augmented[0].DiagClass, 4u);
   EXPECT_FALSE(L.Augmented[1].IsCorrection);
-  EXPECT_EQ(L.CorrectionSamples, 1u);
-  EXPECT_EQ(L.FirstTimeSamples, 1u);
 
   std::remove(Path.c_str());
 }
@@ -172,6 +157,69 @@ TEST(Checkpoint, BadMagicOrVersionFails) {
     F << "veriopt-ckpt 999\nseed 1\n";
   }
   EXPECT_FALSE(loadCheckpoint(Path, L));
+  std::remove(Path.c_str());
+}
+
+TEST(Checkpoint, RejectsVersion1) {
+  // A complete version-1 checkpoint: its log rows carry seven per-step
+  // telemetry columns and it ends with a sample-count line. Version 2
+  // dropped both, so the pipeline starts fresh instead of resuming it.
+  const std::string Path = scratchPath("version1");
+  const std::string H = hexDouble(0.5);
+  {
+    std::ofstream F(Path, std::ios::binary | std::ios::trunc);
+    F << "veriopt-ckpt 1\nseed 2026\nstage 0\n"
+      << "trainer 1 7 " << H << " 1\n"
+      << "model zero 1 " << H << "\nmodel warmup 0\n"
+      << "model correctness 0\nmodel latency 0\n"
+      << "log 1 1\n1 " << H << ' ' << H << ' ' << H << ' ' << H << ' ' << H
+      << ' ' << H << ' ' << H << " 4 123 2 1 2\n"
+      << "log 2 0\nlog 3 0\n"
+      << "aug 1\n3 1 2 2 4 0 1 0\n"
+      << "counts 1 0\nend\n";
+  }
+  PipelineCheckpoint L;
+  L.Seed = 99;
+  EXPECT_FALSE(loadCheckpoint(Path, L));
+  EXPECT_EQ(L.Seed, 99u);
+  std::remove(Path.c_str());
+}
+
+TEST(Checkpoint, RejectsOutOfRangeActionAndDiagnosisCodes) {
+  // Action codes index the policy's action heads (and a bit mask during
+  // warm-up SFT), diagnosis classes index its diagnosis head: a code past
+  // either vocabulary makes the whole checkpoint incompatible.
+  struct Case {
+    const char *Name;
+    void (*Edit)(AugmentedRecord &);
+  };
+  const Case Cases[] = {
+      {"target action = NumActions",
+       [](AugmentedRecord &R) { R.TargetActions[0] = NumActions; }},
+      {"attempt action 31",
+       [](AugmentedRecord &R) { R.AttemptActions[0] = 31; }},
+      {"attempt action 32",
+       [](AugmentedRecord &R) { R.AttemptActions[0] = 32; }},
+      {"diagnosis class = NumDiagClasses",
+       [](AugmentedRecord &R) { R.DiagClass = NumDiagClasses; }},
+  };
+  const std::string Path = scratchPath("badcodes");
+  for (const Case &C : Cases) {
+    PipelineCheckpoint CP = makeRichCheckpoint();
+    C.Edit(CP.Augmented[0]);
+    ASSERT_TRUE(saveCheckpoint(Path, CP)) << C.Name;
+    PipelineCheckpoint L;
+    L.Seed = 99;
+    EXPECT_FALSE(loadCheckpoint(Path, L)) << C.Name;
+    EXPECT_EQ(L.Seed, 99u) << C.Name;
+  }
+  // The largest valid codes still load.
+  PipelineCheckpoint CP = makeRichCheckpoint();
+  CP.Augmented[0].TargetActions[0] = NumActions - 1;
+  CP.Augmented[0].DiagClass = NumDiagClasses - 1;
+  ASSERT_TRUE(saveCheckpoint(Path, CP));
+  PipelineCheckpoint L;
+  EXPECT_TRUE(loadCheckpoint(Path, L));
   std::remove(Path.c_str());
 }
 

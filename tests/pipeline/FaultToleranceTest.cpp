@@ -13,10 +13,14 @@
 
 #include "store/VerdictStore.h"
 #include "support/IoEnv.h"
+#include "trace/Json.h"
+#include "trace/Metrics.h"
+#include "trace/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 
 namespace veriopt {
 namespace {
@@ -43,9 +47,50 @@ PipelineOptions smallOptions() {
   return P;
 }
 
-/// The deterministic slice of two runs' artifacts must match exactly.
-void expectIdenticalArtifacts(const PipelineArtifacts &A,
-                              const PipelineArtifacts &B) {
+uint64_t counterValue(const char *Name) {
+  return MetricsRegistry::global().counter(Name).value();
+}
+
+/// One pipeline run plus the deterministic plane of its grpo.step spans:
+/// per step, the reward curve and the verifier telemetry (falsification
+/// wins, solver conflicts, retry escalations, terminal Inconclusives, top
+/// retry tier), as one canonical string each.
+struct TracedRun {
+  PipelineArtifacts Art;
+  std::multiset<std::string> Steps;
+};
+
+TracedRun tracedRun(const Dataset &DS, const PipelineOptions &P) {
+  TraceRecorder &R = TraceRecorder::instance();
+  R.clear();
+  R.enable();
+  TracedRun Out;
+  Out.Art = runTrainingPipeline(DS, P);
+  R.disable();
+  for (const TraceEvent &E : R.snapshot()) {
+    if (E.Name != "grpo.step")
+      continue;
+    std::string K;
+    for (const TraceArg &A : E.Args) {
+      K += A.Key + '=';
+      if (A.K == TraceArg::Kind::Float)
+        K += jsonNumber(A.F);
+      else if (A.K == TraceArg::Kind::Str)
+        K += A.S;
+      else
+        K += std::to_string(A.I);
+      K += ' ';
+    }
+    Out.Steps.insert(std::move(K));
+  }
+  R.clear();
+  return Out;
+}
+
+/// The deterministic slice of two runs must match exactly: parameters,
+/// logs, harvested samples and every grpo.step's deterministic args.
+void expectIdenticalRuns(const TracedRun &RA, const TracedRun &RB) {
+  const PipelineArtifacts &A = RA.Art, &B = RB.Art;
   ASSERT_NE(A.Latency, nullptr);
   ASSERT_NE(B.Latency, nullptr);
   EXPECT_EQ(A.ModelZero->params(), B.ModelZero->params());
@@ -63,11 +108,6 @@ void expectIdenticalArtifacts(const PipelineArtifacts &A,
       EXPECT_EQ(X[I].EquivalentRate, Y[I].EquivalentRate);
       EXPECT_EQ(X[I].CopyRate, Y[I].CopyRate);
       EXPECT_EQ(X[I].GradNorm, Y[I].GradNorm);
-      EXPECT_EQ(X[I].FalsifyWins, Y[I].FalsifyWins);
-      EXPECT_EQ(X[I].SolverConflicts, Y[I].SolverConflicts);
-      EXPECT_EQ(X[I].RetryEscalations, Y[I].RetryEscalations);
-      EXPECT_EQ(X[I].TerminalInconclusive, Y[I].TerminalInconclusive);
-      EXPECT_EQ(X[I].MaxRetryTier, Y[I].MaxRetryTier);
     }
   };
   expectSameLog(A.Stage1Log, B.Stage1Log);
@@ -75,23 +115,29 @@ void expectIdenticalArtifacts(const PipelineArtifacts &A,
   expectSameLog(A.Stage3Log, B.Stage3Log);
 
   EXPECT_EQ(A.Augmented.size(), B.Augmented.size());
-  EXPECT_EQ(A.CorrectionSamples, B.CorrectionSamples);
-  EXPECT_EQ(A.FirstTimeSamples, B.FirstTimeSamples);
+  EXPECT_EQ(A.correctionSamples(), B.correctionSamples());
+  EXPECT_EQ(A.firstTimeSamples(), B.firstTimeSamples());
+
+  EXPECT_EQ(RA.Steps.size(), A.Stage1Log.size() + A.Stage2Log.size() +
+                                 A.Stage3Log.size());
+  EXPECT_EQ(RA.Steps, RB.Steps);
 }
 
 TEST(FaultTolerance, KillResumeYieldsIdenticalArtifacts) {
   const Dataset &DS = smallDataset();
 
   // Reference: one uninterrupted run, no checkpointing at all.
-  PipelineArtifacts Ref = runTrainingPipeline(DS, smallOptions());
-  ASSERT_FALSE(Ref.Halted);
+  TracedRun Ref = tracedRun(DS, smallOptions());
+  ASSERT_FALSE(Ref.Art.Halted);
 
   // Interrupted: kill after every 5 GRPO steps, resume from the checkpoint
   // until the pipeline reports completion. The halt points land in
-  // different stages, so this also exercises stage-boundary resumes.
+  // different stages, so this also exercises stage-boundary resumes. Every
+  // step runs in exactly one leg, so the legs' grpo.step spans together
+  // must equal the uninterrupted run's.
   const std::string Path = "ckpt_test_killresume.bin";
   std::remove(Path.c_str());
-  PipelineArtifacts Res;
+  TracedRun Res;
   unsigned Legs = 0;
   for (;; ++Legs) {
     ASSERT_LT(Legs, 20u) << "resume loop did not converge";
@@ -100,14 +146,17 @@ TEST(FaultTolerance, KillResumeYieldsIdenticalArtifacts) {
     P.CheckpointEveryNSteps = 2; // also exercise periodic checkpoints
     P.Resume = true;             // first leg: no file yet -> fresh start
     P.HaltAfterSteps = 5;
-    Res = runTrainingPipeline(DS, P);
-    if (!Res.Halted)
+    const uint64_t Written0 = counterValue("io.checkpoint.written");
+    TracedRun Leg = tracedRun(DS, P);
+    Res.Steps.insert(Leg.Steps.begin(), Leg.Steps.end());
+    Res.Art = std::move(Leg.Art);
+    if (!Res.Art.Halted)
       break;
-    EXPECT_GT(Res.CheckpointsWritten, 0u);
+    EXPECT_GT(counterValue("io.checkpoint.written"), Written0);
   }
   EXPECT_GE(Legs, 2u) << "test misconfigured: nothing was interrupted";
 
-  expectIdenticalArtifacts(Ref, Res);
+  expectIdenticalRuns(Ref, Res);
   std::remove(Path.c_str());
 }
 
@@ -135,6 +184,79 @@ TEST(FaultTolerance, ResumeIgnoresCheckpointFromDifferentSeed) {
   std::remove(Path.c_str());
 }
 
+TEST(FaultTolerance, ResumeRejectsIncompatibleCheckpoints) {
+  // A checkpoint whose contents do not fit this run — a model of the wrong
+  // size, a harvested sample past the training split, an action code past
+  // the policy's vocabulary — is not resumed from: the run starts fresh and
+  // runs every GRPO step itself.
+  const Dataset &DS = smallDataset();
+  const PipelineOptions Small = smallOptions();
+  const unsigned AllSteps =
+      Small.Stage1Steps + Small.Stage2Steps + Small.Stage3Steps;
+  const std::string Path = "ckpt_test_incompatible.bin";
+  std::remove(Path.c_str());
+
+  // Halt one step into stage 2: the checkpoint then holds the stage-1 and
+  // warm-up models and the harvested samples.
+  PipelineOptions P = Small;
+  P.CheckpointPath = Path;
+  P.HaltAfterSteps = Small.Stage1Steps + 1;
+  ASSERT_TRUE(runTrainingPipeline(DS, P).Halted);
+  PipelineCheckpoint Good;
+  ASSERT_TRUE(loadCheckpoint(Path, Good));
+  ASSERT_EQ(Good.StageIdx, 1u);
+  ASSERT_FALSE(Good.Augmented.empty());
+  ASSERT_FALSE(Good.Augmented[0].TargetActions.empty());
+
+  struct Case {
+    const char *Name;
+    void (*Edit)(PipelineCheckpoint &, const Dataset &);
+    bool Resumes;
+  };
+  const Case Cases[] = {
+      {"unedited", [](PipelineCheckpoint &, const Dataset &) {}, true},
+      {"stage-1 model one parameter short",
+       [](PipelineCheckpoint &CP, const Dataset &) {
+         CP.ModelZeroParams.pop_back();
+       },
+       false},
+      {"warm-up model one parameter long",
+       [](PipelineCheckpoint &CP, const Dataset &) {
+         CP.WarmUpParams.push_back(0.0);
+       },
+       false},
+      {"sample index past the training split",
+       [](PipelineCheckpoint &CP, const Dataset &DS) {
+         CP.Augmented.back().SampleIdx =
+             static_cast<unsigned>(DS.Train.size());
+       },
+       false},
+      // Rejected by loadCheckpoint itself; the out-of-range codes are
+      // tabled in Checkpoint.RejectsOutOfRangeActionAndDiagnosisCodes.
+      {"action code 32",
+       [](PipelineCheckpoint &CP, const Dataset &) {
+         CP.Augmented[0].TargetActions[0] = 32;
+       },
+       false},
+  };
+  Counter &Steps = MetricsRegistry::global().counter("grpo.steps");
+  for (const Case &C : Cases) {
+    PipelineCheckpoint Edited = Good;
+    C.Edit(Edited, DS);
+    ASSERT_TRUE(saveCheckpoint(Path, Edited)) << C.Name;
+    PipelineOptions Q = Small;
+    Q.CheckpointPath = Path;
+    Q.Resume = true;
+    const uint64_t Steps0 = Steps.value();
+    PipelineArtifacts Art = runTrainingPipeline(DS, Q);
+    EXPECT_FALSE(Art.Halted) << C.Name;
+    EXPECT_EQ(Steps.value() - Steps0,
+              C.Resumes ? AllSteps - P.HaltAfterSteps : AllSteps)
+        << C.Name;
+  }
+  std::remove(Path.c_str());
+}
+
 TEST(FaultTolerance, SurvivesFaultStormWithoutHanging) {
   const Dataset &DS = smallDataset();
   FaultInjector FI(1234);
@@ -149,7 +271,13 @@ TEST(FaultTolerance, SurvivesFaultStormWithoutHanging) {
   P.Faults = &FI;
   P.CheckpointPath = Path;
   P.CheckpointEveryNSteps = 1;
+  const uint64_t Written0 = counterValue("io.checkpoint.written");
+  const uint64_t Failures0 = counterValue("io.checkpoint.write_failures");
+  const uint64_t Escalations0 = counterValue("verify.retry.escalations");
   PipelineArtifacts Art = runTrainingPipeline(DS, P);
+  const uint64_t Written = counterValue("io.checkpoint.written") - Written0;
+  const uint64_t Failures =
+      counterValue("io.checkpoint.write_failures") - Failures0;
 
   // The run completes every stage despite the storm.
   EXPECT_FALSE(Art.Halted);
@@ -162,16 +290,12 @@ TEST(FaultTolerance, SurvivesFaultStormWithoutHanging) {
   EXPECT_GT(FI.counters().injected(FaultSite::OracleBudget) +
                 FI.counters().injected(FaultSite::VerdictFlip),
             0u);
-  EXPECT_GT(Art.CheckpointWriteFailures, 0u);
-  EXPECT_GT(Art.CheckpointsWritten + Art.CheckpointWriteFailures,
+  EXPECT_GT(Failures, 0u);
+  EXPECT_GT(Written + Failures,
             P.Stage1Steps + P.Stage2Steps + P.Stage3Steps - 1);
   EXPECT_GT(FI.counters().injected(FaultSite::OracleBudget), 0u);
   // Injected oracle exhaustion is recovered through the retry ladder.
-  uint64_t RetryEscalations = 0;
-  for (const auto *Log : {&Art.Stage1Log, &Art.Stage2Log, &Art.Stage3Log})
-    for (const TrainLogEntry &E : *Log)
-      RetryEscalations += E.RetryEscalations;
-  EXPECT_GT(RetryEscalations, 0u);
+  EXPECT_GT(counterValue("verify.retry.escalations"), Escalations0);
   std::remove(Path.c_str());
 }
 
@@ -184,17 +308,15 @@ TEST(FaultTolerance, SingleTierLadderNeverEscalates) {
   PipelineOptions P = smallOptions();
   P.Faults = &FI;
   P.GRPO.Verify.MaxTiers = 1;
-  PipelineArtifacts Art = runTrainingPipeline(DS, P);
+  const uint64_t Escalations0 = counterValue("verify.retry.escalations");
+  const uint64_t Terminal0 =
+      counterValue("verify.retry.terminal_inconclusive");
+  runTrainingPipeline(DS, P);
 
   EXPECT_GT(FI.counters().injected(FaultSite::OracleBudget), 0u);
-  uint64_t RetryEscalations = 0, TerminalInconclusive = 0;
-  for (const auto *Log : {&Art.Stage1Log, &Art.Stage2Log, &Art.Stage3Log})
-    for (const TrainLogEntry &E : *Log) {
-      RetryEscalations += E.RetryEscalations;
-      TerminalInconclusive += E.TerminalInconclusive;
-    }
-  EXPECT_EQ(RetryEscalations, 0u);
-  EXPECT_GE(TerminalInconclusive, 1u);
+  EXPECT_EQ(counterValue("verify.retry.escalations"), Escalations0);
+  EXPECT_GE(counterValue("verify.retry.terminal_inconclusive"),
+            Terminal0 + 1);
 }
 
 TEST(FaultTolerance, CheckpointRetriesRecoverTransientWriteFaults) {
@@ -204,7 +326,7 @@ TEST(FaultTolerance, CheckpointRetriesRecoverTransientWriteFaults) {
   // the trajectory is bit-identical to the fault-free run (durability work
   // never feeds back into training).
   const Dataset &DS = smallDataset();
-  PipelineArtifacts Plain = runTrainingPipeline(DS, smallOptions());
+  TracedRun Plain = tracedRun(DS, smallOptions());
 
   FaultInjector FI(7001);
   FI.enable(FaultSite::CheckpointWrite, 0.5);
@@ -214,15 +336,20 @@ TEST(FaultTolerance, CheckpointRetriesRecoverTransientWriteFaults) {
   P.Faults = &FI;
   P.CheckpointPath = Path;
   P.CheckpointEveryNSteps = 1;
-  PipelineArtifacts Art = runTrainingPipeline(DS, P);
+  const uint64_t Retries0 = counterValue("io.checkpoint.retries");
+  const uint64_t Written0 = counterValue("io.checkpoint.written");
+  const uint64_t Failures0 = counterValue("io.checkpoint.write_failures");
+  TracedRun Faulted = tracedRun(DS, P);
 
-  EXPECT_FALSE(Art.Halted);
-  EXPECT_GT(Art.CheckpointRetries, 0u) << "no retry ever fired at rate 0.5";
+  EXPECT_FALSE(Faulted.Art.Halted);
+  EXPECT_GT(counterValue("io.checkpoint.retries"), Retries0)
+      << "no retry ever fired at rate 0.5";
   // A retried write only counts as a failure when every attempt loses
   // (p = 0.125 per checkpoint here), so retries must strictly improve on
   // the no-retry storm: most checkpoints land.
-  EXPECT_GT(Art.CheckpointsWritten, Art.CheckpointWriteFailures);
-  expectIdenticalArtifacts(Plain, Art);
+  EXPECT_GT(counterValue("io.checkpoint.written") - Written0,
+            counterValue("io.checkpoint.write_failures") - Failures0);
+  expectIdenticalRuns(Plain, Faulted);
   std::remove(Path.c_str());
 }
 
@@ -234,7 +361,7 @@ TEST(FaultTolerance, IoFaultStormPreservesTrajectory) {
   // be bit-identical to the fault-free same-seed run. I/O faults may cost
   // durability, never correctness or determinism.
   const Dataset &DS = smallDataset();
-  PipelineArtifacts Plain = runTrainingPipeline(DS, smallOptions());
+  TracedRun Plain = tracedRun(DS, smallOptions());
 
   const std::string Ckpt = "ckpt_test_iostorm.bin";
   const std::string Journal = "store_test_iostorm.vstore";
@@ -259,15 +386,15 @@ TEST(FaultTolerance, IoFaultStormPreservesTrajectory) {
   P.CheckpointPath = Ckpt;
   P.CheckpointEveryNSteps = 1;
   P.VerdictTier = Store.get();
-  PipelineArtifacts Art;
+  TracedRun Stormy;
   {
     ScopedIoEnv Install(&Env);
-    Art = runTrainingPipeline(DS, P);
+    Stormy = tracedRun(DS, P);
   }
 
-  EXPECT_FALSE(Art.Halted);
+  EXPECT_FALSE(Stormy.Art.Halted);
   EXPECT_GT(IoFI.counters().totalInjected(), 0u) << "storm never fired";
-  expectIdenticalArtifacts(Plain, Art);
+  expectIdenticalRuns(Plain, Stormy);
   // Degradation (if the storm tripped the store) is visible, typed state —
   // not silence, not an abort.
   if (Store->degraded())
@@ -282,16 +409,16 @@ TEST(FaultTolerance, CacheMissFaultsDoNotChangeResults) {
   // Cache residency must never influence training: verification is
   // deterministic, so randomly evicting entries only costs time.
   const Dataset &DS = smallDataset();
-  PipelineArtifacts Plain = runTrainingPipeline(DS, smallOptions());
+  TracedRun Plain = tracedRun(DS, smallOptions());
 
   FaultInjector FI(55);
   FI.enable(FaultSite::CacheMiss, 0.5);
   PipelineOptions P = smallOptions();
   P.Faults = &FI;
-  PipelineArtifacts Faulted = runTrainingPipeline(DS, P);
+  TracedRun Faulted = tracedRun(DS, P);
 
   EXPECT_GT(FI.counters().injected(FaultSite::CacheMiss), 0u);
-  expectIdenticalArtifacts(Plain, Faulted);
+  expectIdenticalRuns(Plain, Faulted);
 }
 
 TEST(FaultTolerance, ThreadCountInvariantWithInjectionDisabled) {
@@ -300,9 +427,7 @@ TEST(FaultTolerance, ThreadCountInvariantWithInjectionDisabled) {
   P1.Threads = 1;
   PipelineOptions P4 = smallOptions();
   P4.Threads = 4;
-  PipelineArtifacts A = runTrainingPipeline(DS, P1);
-  PipelineArtifacts B = runTrainingPipeline(DS, P4);
-  expectIdenticalArtifacts(A, B);
+  expectIdenticalRuns(tracedRun(DS, P1), tracedRun(DS, P4));
 }
 
 } // namespace

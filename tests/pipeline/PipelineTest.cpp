@@ -58,11 +58,11 @@ TEST_F(PipelineFixture, ProducesAllFourModels) {
 
 TEST_F(PipelineFixture, HarvestsBothSampleKinds) {
   auto &Art = artifacts();
-  EXPECT_GT(Art.CorrectionSamples, 0u)
+  EXPECT_GT(Art.correctionSamples(), 0u)
       << "stage 1 found no failures to learn from";
-  EXPECT_EQ(Art.FirstTimeSamples, 24u);
+  EXPECT_EQ(Art.firstTimeSamples(), 24u);
   EXPECT_EQ(Art.Augmented.size(),
-            Art.CorrectionSamples + Art.FirstTimeSamples);
+            Art.correctionSamples() + Art.firstTimeSamples());
 }
 
 TEST_F(PipelineFixture, RQ1BaseModelIsVacuouslyCorrect) {

@@ -104,6 +104,7 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
   // without the verification memo.
   const Dataset &DS = tinyDataset();
 
+  VerifyCache::Counters ParallelCache;
   auto runConfig = [&](unsigned Threads, bool UseCache,
                        std::vector<double> &ParamsOut) {
     RewritePolicyModel Model(presetQwen3B());
@@ -121,6 +122,8 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
     GRPOTrainer Trainer(Model, eq1Score, G);
     auto Logs = Trainer.train(DS.Train, 12);
     ParamsOut = Model.params();
+    if (Cache && Threads > 1)
+      ParallelCache = Cache->counters();
     return Logs;
   };
 
@@ -143,10 +146,8 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
   EXPECT_EQ(SerialParams, ParallelParams);
   EXPECT_EQ(SerialParams, CachedParams);
   // The memo must actually have been exercised on GRPO's repetitive groups.
-  double HitRate = 0;
-  for (const TrainLogEntry &E : Parallel)
-    HitRate += E.CacheHitRate;
-  EXPECT_GT(HitRate, 0.0) << "verify cache never hit during training";
+  EXPECT_GT(ParallelCache.hitRate(), 0.0)
+      << "verify cache never hit during training";
 }
 
 TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
@@ -154,7 +155,8 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
   // dedupe, cache) against the sequential oracle: a reward that ignores the
   // trainer's verdicts and re-verifies each answer on fresh encodings. The
   // trajectories — every logged value and the trained parameters — must
-  // match, at 1 and 4 threads, and so must every verdict.
+  // match, at 1 and 4 threads, and so must every verdict, down to its
+  // solver conflicts and retry tier.
   const Dataset &DS = tinyDataset();
   LadderOptions Ladder;
   Ladder.Base.FalsifyTrials = 8;
@@ -210,8 +212,6 @@ TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {
       EXPECT_EQ(R.Logs[I].EMAReward, Oracle.Logs[I].EMAReward) << I;
       EXPECT_EQ(R.Logs[I].EquivalentRate, Oracle.Logs[I].EquivalentRate);
       EXPECT_EQ(R.Logs[I].GradNorm, Oracle.Logs[I].GradNorm) << I;
-      EXPECT_EQ(R.Logs[I].SolverConflicts, Oracle.Logs[I].SolverConflicts);
-      EXPECT_EQ(R.Logs[I].RetryEscalations, Oracle.Logs[I].RetryEscalations);
     }
     EXPECT_EQ(R.Params, Oracle.Params);
     ASSERT_EQ(R.Verdicts.size(), Oracle.Verdicts.size());

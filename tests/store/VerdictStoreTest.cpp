@@ -19,6 +19,7 @@
 #include "support/FaultInjector.h"
 #include "support/IoEnv.h"
 #include "support/ThreadPool.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -526,10 +527,12 @@ TEST(VerdictStore, GroupVerifierReadsThroughStore) {
   Cache.setBackingStore(St.get());
   L.Cache = &Cache;
   Candidate C(GoodTgt);
-  GroupStats GS;
-  auto Outs = verifyGroup(L, SrcIR, *Fx.Src, {&C}, nullptr, &GS);
-  EXPECT_EQ(GS.Computed, 0u); // served by the store, memoized
-  EXPECT_EQ(GS.CacheHits, 1u);
+  Counter &Computed = MetricsRegistry::global().counter("batch.computed");
+  Counter &CacheHits = MetricsRegistry::global().counter("batch.cache_hits");
+  const uint64_t Computed0 = Computed.value(), CacheHits0 = CacheHits.value();
+  auto Outs = verifyGroup(L, SrcIR, *Fx.Src, {&C});
+  EXPECT_EQ(Computed.value(), Computed0); // served by the store, memoized
+  EXPECT_EQ(CacheHits.value() - CacheHits0, 1u);
   EXPECT_EQ(St->stats().Hits, 1u);
   EXPECT_EQ(St->stats().Writes, 0u);
   EXPECT_EQ(Outs[0].Result.Status, VerifyStatus::Equivalent);
@@ -607,7 +610,6 @@ TEST(VerdictStore, DegradesToInMemoryAfterConsecutiveFlushFailures) {
   ScratchFile F("degrade");
   VerdictStore::Options O;
   O.FlushEveryN = 1; // a flush attempt per put
-  O.DegradeAfterFlushFailures = 3;
   std::string Err;
   auto St = VerdictStore::open(F.Path, &Err, O);
   ASSERT_NE(St, nullptr) << Err;
@@ -659,7 +661,6 @@ TEST(VerdictStore, IntermittentFlushFailuresDoNotTrip) {
   ScratchFile F("flaky");
   VerdictStore::Options O;
   O.FlushEveryN = 1;
-  O.DegradeAfterFlushFailures = 3;
   auto St = VerdictStore::open(F.Path, nullptr, O);
   ASSERT_NE(St, nullptr);
 

@@ -12,6 +12,7 @@
 
 #include "ir/Parser.h"
 #include "support/ThreadPool.h"
+#include "trace/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -96,17 +97,37 @@ struct Group {
   }
 };
 
-/// Run the group verifier and keep the final verdicts.
+/// The group verifier's reuse accounting: batch.* counter deltas.
+struct BatchCounts {
+  uint64_t Candidates = 0, Unique = 0, CacheHits = 0, Computed = 0;
+
+  static BatchCounts now() {
+    MetricsRegistry &M = MetricsRegistry::global();
+    return {M.counter("batch.candidates").value(),
+            M.counter("batch.unique").value(),
+            M.counter("batch.cache_hits").value(),
+            M.counter("batch.computed").value()};
+  }
+  BatchCounts since(const BatchCounts &Before) const {
+    return {Candidates - Before.Candidates, Unique - Before.Unique,
+            CacheHits - Before.CacheHits, Computed - Before.Computed};
+  }
+};
+
+/// Run the group verifier and keep the final verdicts; \p Counts, when
+/// set, receives the group's batch.* counter deltas.
 std::vector<VerifyResult> groupVerdicts(const LadderOptions &O,
                                         const Parsed &Src,
                                         const std::vector<std::string> &Texts,
                                         ThreadPool *Pool = nullptr,
-                                        GroupStats *Stats = nullptr) {
+                                        BatchCounts *Counts = nullptr) {
   Group G(Texts);
+  const BatchCounts Before = BatchCounts::now();
   std::vector<VerifyResult> Out;
-  for (LadderOutcome &R :
-       verifyGroup(O, Src.Text, *Src.F, G.Ptrs, Pool, Stats))
+  for (LadderOutcome &R : verifyGroup(O, Src.Text, *Src.F, G.Ptrs, Pool))
     Out.push_back(std::move(R.Result));
+  if (Counts)
+    *Counts = BatchCounts::now().since(Before);
   return Out;
 }
 
@@ -148,15 +169,15 @@ TEST(BatchVerifier, MatchesSequentialOracleBitForBit) {
 
   VerifyCache Cache(256);
   O.Cache = &Cache;
-  GroupStats GS;
-  auto Got = groupVerdicts(O, Src, addGroup(), nullptr, &GS);
+  BatchCounts Counts;
+  auto Got = groupVerdicts(O, Src, addGroup(), nullptr, &Counts);
 
   expectIdentical(Got, Want);
-  EXPECT_EQ(GS.Candidates, 8u);
+  EXPECT_EQ(Counts.Candidates, 8u);
   // The byte-identical repeat and the renamed duplicate both collapse.
-  EXPECT_EQ(GS.Unique, 6u);
-  EXPECT_EQ(GS.CacheHits, 0u); // cold cache
-  EXPECT_GT(GS.Computed, 0u);
+  EXPECT_EQ(Counts.Unique, 6u);
+  EXPECT_EQ(Counts.CacheHits, 0u); // cold cache
+  EXPECT_GT(Counts.Computed, 0u);
 }
 
 TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
@@ -236,16 +257,16 @@ TEST(BatchVerifier, CacheHitInterleavingsStayIdentical) {
   verifyWithLadder(O, Src.Text, *Src.F, Group[2]);
   verifyWithLadder(O, Src.Text, *Src.F, Group[3]);
 
-  GroupStats GS;
-  auto Got = groupVerdicts(O, Src, Group, nullptr, &GS);
+  BatchCounts Counts;
+  auto Got = groupVerdicts(O, Src, Group, nullptr, &Counts);
   expectIdentical(Got, Want);
-  EXPECT_GT(GS.CacheHits, 0u);
+  EXPECT_GT(Counts.CacheHits, 0u);
 
   // A second pass over the same group is served entirely from the cache.
-  GroupStats GS2;
-  auto Again = groupVerdicts(O, Src, Group, nullptr, &GS2);
+  BatchCounts AgainCounts;
+  auto Again = groupVerdicts(O, Src, Group, nullptr, &AgainCounts);
   expectIdentical(Again, Want);
-  EXPECT_EQ(GS2.Computed, 0u);
+  EXPECT_EQ(AgainCounts.Computed, 0u);
 }
 
 TEST(BatchVerifier, OracleBudgetFaultMirrorsSequential) {
