@@ -18,6 +18,7 @@ SatSolver::SatSolver() {
   ReasonOf.push_back(NoReason);
   Frozen.push_back(0);
   Activity.push_back(0);
+  OrderPos.push_back(-1);
   Seen.push_back(0);
   Watches.resize(2);
 }
@@ -30,14 +31,20 @@ unsigned SatSolver::newVar() {
   ReasonOf.push_back(NoReason);
   Frozen.push_back(0);
   Activity.push_back(0);
+  OrderPos.push_back(-1);
   Seen.push_back(0);
   Watches.resize(Watches.size() + 2);
+  orderInsert(V);
   return V;
 }
 
 void SatSolver::setFrozen(unsigned Var, bool B) {
   assert(Var < Frozen.size() && "freezing an unallocated variable");
   Frozen[Var] = B ? 1 : 0;
+  if (OrderPos[Var] >= 0) {
+    orderSiftUp(static_cast<size_t>(OrderPos[Var]));
+    orderSiftDown(static_cast<size_t>(OrderPos[Var]));
+  }
 }
 
 bool SatSolver::addClause(std::vector<Lit> Ls) {
@@ -49,7 +56,8 @@ bool SatSolver::addClause(std::vector<Lit> Ls) {
   // already-satisfied clauses.
   std::sort(Ls.begin(), Ls.end(),
             [](Lit A, Lit B) { return A.Code < B.Code; });
-  std::vector<Lit> Out;
+  std::vector<Lit> &Out = AddScratch;
+  Out.clear();
   for (size_t I = 0; I < Ls.size(); ++I) {
     if (I + 1 < Ls.size() && Ls[I] == Ls[I + 1])
       continue; // duplicate
@@ -76,18 +84,35 @@ bool SatSolver::addClause(std::vector<Lit> Ls) {
     return true;
   }
 
-  Clause C;
-  C.Ls = std::move(Out);
-  Clauses.push_back(std::move(C));
-  attach(static_cast<ClauseRef>(Clauses.size() - 1));
+  attach(allocClause(Out));
   return true;
 }
 
+SatSolver::ClauseRef SatSolver::allocClause(const std::vector<Lit> &Ls) {
+  size_t Words = Ls.size() + 1;
+  if (Blocks.empty() || Blocks.back().size() >= BlockWords ||
+      Blocks.back().capacity() - Blocks.back().size() < Words) {
+    // Start a new block rather than grow one, so clauses never move; a
+    // clause longer than a block gets one to itself.
+    assert((Blocks.size() >> (31 - BlockBits)) == 0 && "clause arena full");
+    Blocks.emplace_back().reserve(std::max<size_t>(BlockWords, Words));
+  }
+  std::vector<Lit> &B = Blocks.back();
+  ClauseRef CR = static_cast<ClauseRef>(((Blocks.size() - 1) << BlockBits) |
+                                        B.size());
+  Lit Header;
+  Header.Code = static_cast<unsigned>(Ls.size());
+  B.push_back(Header);
+  B.insert(B.end(), Ls.begin(), Ls.end());
+  ++NumClauses;
+  return CR;
+}
+
 void SatSolver::attach(ClauseRef CR) {
-  const Clause &C = Clauses[CR];
-  assert(C.Ls.size() >= 2 && "attaching a short clause");
-  Watches[(~C.Ls[0]).Code].push_back({CR, C.Ls[1]});
-  Watches[(~C.Ls[1]).Code].push_back({CR, C.Ls[0]});
+  ClauseView C = clause(CR);
+  assert(C.Size >= 2 && "attaching a short clause");
+  Watches[(~C[0]).Code].push_back({CR, C[1]});
+  Watches[(~C[1]).Code].push_back({CR, C[0]});
 }
 
 void SatSolver::enqueue(Lit L, ClauseRef Reason) {
@@ -113,23 +138,23 @@ SatSolver::ClauseRef SatSolver::propagate() {
         WList[Keep++] = W;
         continue;
       }
-      Clause &C = Clauses[W.CR];
+      ClauseView C = clause(W.CR);
       // Ensure the falsified literal is at slot 1.
       Lit FalseLit = ~P;
-      if (C.Ls[0] == FalseLit)
-        std::swap(C.Ls[0], C.Ls[1]);
-      assert(C.Ls[1] == FalseLit && "watch list out of sync");
+      if (C[0] == FalseLit)
+        std::swap(C[0], C[1]);
+      assert(C[1] == FalseLit && "watch list out of sync");
       // First watch true? Keep with updated blocker.
-      if (value(C.Ls[0]) == LBool::True) {
-        WList[Keep++] = {W.CR, C.Ls[0]};
+      if (value(C[0]) == LBool::True) {
+        WList[Keep++] = {W.CR, C[0]};
         continue;
       }
       // Find a new literal to watch.
       bool Moved = false;
-      for (size_t K = 2; K < C.Ls.size(); ++K) {
-        if (value(C.Ls[K]) != LBool::False) {
-          std::swap(C.Ls[1], C.Ls[K]);
-          Watches[(~C.Ls[1]).Code].push_back({W.CR, C.Ls[0]});
+      for (unsigned K = 2; K < C.Size; ++K) {
+        if (value(C[K]) != LBool::False) {
+          std::swap(C[1], C[K]);
+          Watches[(~C[1]).Code].push_back({W.CR, C[0]});
           Moved = true;
           break;
         }
@@ -138,7 +163,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
         continue; // watch moved elsewhere; drop from this list
       // Clause is unit or conflicting.
       WList[Keep++] = W;
-      if (value(C.Ls[0]) == LBool::False) {
+      if (value(C[0]) == LBool::False) {
         // Conflict: restore remaining watches and report.
         for (size_t K = I + 1; K < WList.size(); ++K)
           WList[Keep++] = WList[K];
@@ -146,7 +171,7 @@ SatSolver::ClauseRef SatSolver::propagate() {
         QHead = Trail.size();
         return W.CR;
       }
-      enqueue(C.Ls[0], W.CR);
+      enqueue(C[0], W.CR);
     }
     WList.resize(Keep);
   }
@@ -159,13 +184,18 @@ void SatSolver::bumpVar(unsigned V) {
     for (double &A : Activity)
       A *= 1e-100;
     ActivityInc *= 1e-100;
+    // Scaling keeps the activity order only weakly (underflow can tie two
+    // variables, and ties fall to the index), so re-heapify outright.
+    for (size_t I = Order.size() / 2; I-- > 0;)
+      orderSiftDown(I);
+  } else if (OrderPos[V] >= 0) {
+    orderSiftUp(static_cast<size_t>(OrderPos[V]));
   }
 }
 
 void SatSolver::decayActivities() { ActivityInc *= (1.0 / 0.95); }
 
-void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
-                        unsigned &BtLevel) {
+unsigned SatSolver::analyze(ClauseRef Confl) {
   Learnt.clear();
   Learnt.push_back(Lit()); // slot for the asserting literal
   unsigned CurLevel = static_cast<unsigned>(TrailLim.size());
@@ -177,10 +207,7 @@ void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   ClauseRef Reason = Confl;
   while (true) {
     assert(Reason != NoReason && "conflict analysis lost its reason");
-    Clause &C = Clauses[Reason];
-    if (C.Learnt)
-      C.Activity += 1.0;
-    for (Lit Q : C.Ls) {
+    for (Lit Q : clause(Reason)) {
       if (PValid && Q == P)
         continue;
       unsigned V = Q.var();
@@ -207,7 +234,7 @@ void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   Learnt[0] = ~P;
 
   // Compute backtrack level (second-highest level in the clause).
-  BtLevel = 0;
+  unsigned BtLevel = 0;
   if (Learnt.size() > 1) {
     size_t MaxI = 1;
     for (size_t I = 2; I < Learnt.size(); ++I)
@@ -218,6 +245,7 @@ void SatSolver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
   }
   for (Lit L : Learnt)
     Seen[L.var()] = 0;
+  return BtLevel;
 }
 
 void SatSolver::analyzeFinal(Lit FailedAssump) {
@@ -238,7 +266,7 @@ void SatSolver::analyzeFinal(Lit FailedAssump) {
     if (ReasonOf[V] == NoReason) {
       Core.push_back(Trail[I - 1]);
     } else {
-      for (Lit L : Clauses[ReasonOf[V]].Ls)
+      for (Lit L : clause(ReasonOf[V]))
         if (L.var() != V && LevelOf[L.var()] > 0)
           Seen[L.var()] = 1;
     }
@@ -256,33 +284,75 @@ void SatSolver::backtrack(unsigned Level) {
     SavedPhase[V] = Assign[V];
     Assign[V] = LBool::Undef;
     ReasonOf[V] = NoReason;
+    orderInsert(V);
   }
   Trail.resize(Bound);
   TrailLim.resize(Level);
   QHead = Trail.size();
 }
 
-Lit SatSolver::pickBranchLit() {
-  // Highest-activity unassigned variable (linear scan is fine at our sizes;
-  // queries are thousands of vars, not millions).
-  unsigned Best = 0;
-  double BestAct = -1;
-  for (unsigned V = 1; V < Assign.size(); ++V)
-    if (Assign[V] == LBool::Undef && !Frozen[V] && Activity[V] > BestAct) {
-      Best = V;
-      BestAct = Activity[V];
-    }
-  if (Best == 0) {
-    // Only frozen variables (dormant group selectors) remain: decide them
-    // last, so saved phases — false by default — deactivate their groups.
-    for (unsigned V = 1; V < Assign.size(); ++V)
-      if (Assign[V] == LBool::Undef && Activity[V] > BestAct) {
-        Best = V;
-        BestAct = Activity[V];
-      }
+void SatSolver::orderInsert(unsigned V) {
+  if (OrderPos[V] >= 0)
+    return;
+  OrderPos[V] = static_cast<int>(Order.size());
+  Order.push_back(V);
+  orderSiftUp(Order.size() - 1);
+}
+
+void SatSolver::orderPopTop() {
+  OrderPos[Order[0]] = -1;
+  unsigned Last = Order.back();
+  Order.pop_back();
+  if (Order.empty())
+    return;
+  Order[0] = Last;
+  OrderPos[Last] = 0;
+  orderSiftDown(0);
+}
+
+void SatSolver::orderSiftUp(size_t I) {
+  unsigned V = Order[I];
+  while (I > 0) {
+    size_t Parent = (I - 1) / 2;
+    if (!branchBefore(V, Order[Parent]))
+      break;
+    Order[I] = Order[Parent];
+    OrderPos[Order[I]] = static_cast<int>(I);
+    I = Parent;
   }
-  if (Best == 0)
+  Order[I] = V;
+  OrderPos[V] = static_cast<int>(I);
+}
+
+void SatSolver::orderSiftDown(size_t I) {
+  unsigned V = Order[I];
+  while (true) {
+    size_t Child = 2 * I + 1;
+    if (Child >= Order.size())
+      break;
+    if (Child + 1 < Order.size() && branchBefore(Order[Child + 1], Order[Child]))
+      ++Child;
+    if (!branchBefore(Order[Child], V))
+      break;
+    Order[I] = Order[Child];
+    OrderPos[Order[I]] = static_cast<int>(I);
+    I = Child;
+  }
+  Order[I] = V;
+  OrderPos[V] = static_cast<int>(I);
+}
+
+Lit SatSolver::pickBranchLit() {
+  // The heap minimum over the unassigned variables: highest activity, lowest
+  // index among equals, frozen variables (dormant group selectors) only once
+  // no unfrozen one is left, so saved phases — false by default — deactivate
+  // their groups. Assigned variables are dropped lazily here; the returned
+  // one stays on top until the next call finds it assigned.
+  while (!Order.empty() && Assign[Order[0]] != LBool::Undef)
+    orderPopTop();
+  if (Order.empty())
     return Lit(); // everything assigned
+  unsigned Best = Order[0];
   bool Neg = SavedPhase[Best] != LBool::True; // phase saving, default false
   return Lit(Best, Neg);
 }
@@ -346,20 +416,13 @@ SatSolver::Result SatSolver::search(const std::vector<Lit> &Assumptions,
         return Result::Unknown;
       }
 
-      std::vector<Lit> Learnt;
-      unsigned BtLevel = 0;
-      analyze(Confl, Learnt, BtLevel);
-      backtrack(BtLevel);
+      backtrack(analyze(Confl));
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], NoReason);
       } else {
-        Clause C;
-        C.Ls = std::move(Learnt);
-        C.Learnt = true;
-        Clauses.push_back(std::move(C));
-        ClauseRef CR = static_cast<ClauseRef>(Clauses.size() - 1);
+        ClauseRef CR = allocClause(Learnt);
         attach(CR);
-        enqueue(Clauses[CR].Ls[0], CR);
+        enqueue(Learnt[0], CR);
       }
       decayActivities();
 

@@ -23,6 +23,23 @@
 // (phase saving defaults selectors to false) instead of being speculatively
 // activated mid-search.
 //
+// Decisions come from a binary heap of variables ordered by (frozen
+// ascending, activity descending, variable index ascending). That is a total
+// order, and its unassigned minimum is exactly the variable a linear scan
+// for the highest activity picks when it keeps the first of equals and
+// falls back to frozen variables only when no unfrozen one is unassigned.
+// This tie-break contract keeps search identical to that scan: the smt.*
+// counters, the tiny bench baselines and the golden trajectories in
+// SatTest.cpp all depend on it. Assigned variables leave the heap lazily
+// (MiniSat style) and return on backtrack; an activity rescale rebuilds it,
+// since underflow may turn a strict activity order into a tie that the
+// index must then break.
+//
+// Clauses live in a chunked arena: a size word followed by the literals,
+// packed into fixed-capacity blocks that never move once allocated, so a
+// ClauseRef (block, offset) stays valid and copying a solver is a plain
+// value copy.
+//
 // A conflict budget bounds each query; exhausting it returns Unknown, which
 // the verifier surfaces as the paper's "Inconclusive" outcome.
 //
@@ -73,7 +90,7 @@ public:
   unsigned numVars() const {
     return static_cast<unsigned>(Activity.size()) - 1; // var 0 is a dummy
   }
-  unsigned numClauses() const { return static_cast<unsigned>(Clauses.size()); }
+  unsigned numClauses() const { return NumClauses; }
   uint64_t conflicts() const { return Conflicts; }
   uint64_t propagations() const { return Propagations; }
   uint64_t decisions() const { return Decisions; }
@@ -130,17 +147,32 @@ public:
   }
 
 private:
-  struct Clause {
-    std::vector<Lit> Ls;
-    bool Learnt = false;
-    double Activity = 0;
-  };
+  /// Arena position of a clause: block index in the high bits, word offset
+  /// within the block in the low BlockBits.
   using ClauseRef = int;
+  static constexpr unsigned BlockBits = 16;
+  static constexpr unsigned BlockWords = 1u << BlockBits;
+
+  /// A clause's literals, viewed in place in its arena block.
+  struct ClauseView {
+    Lit *Ls;
+    unsigned Size;
+    Lit &operator[](unsigned I) const { return Ls[I]; }
+    Lit *begin() const { return Ls; }
+    Lit *end() const { return Ls + Size; }
+  };
 
   struct Watch {
     ClauseRef CR;
     Lit Blocker;
   };
+
+  ClauseView clause(ClauseRef CR) {
+    // The first word of a clause holds its size in the Code field.
+    Lit *Header = &Blocks[CR >> BlockBits][CR & (BlockWords - 1)];
+    return {Header + 1, Header->Code};
+  }
+  ClauseRef allocClause(const std::vector<Lit> &Ls);
 
   LBool value(Lit L) const {
     LBool V = Assign[L.var()];
@@ -152,16 +184,33 @@ private:
   void attach(ClauseRef CR);
   void enqueue(Lit L, ClauseRef Reason);
   ClauseRef propagate();
-  void analyze(ClauseRef Confl, std::vector<Lit> &Learnt, unsigned &BtLevel);
+  /// First-UIP analysis of \p Confl into Learnt; returns the backjump level.
+  unsigned analyze(ClauseRef Confl);
   void analyzeFinal(Lit FailedAssump);
   void backtrack(unsigned Level);
   Lit pickBranchLit();
   void bumpVar(unsigned V);
   void decayActivities();
+
+  // Decision heap over branchBefore(); OrderPos[V] is V's slot or -1.
+  bool branchBefore(unsigned A, unsigned B) const {
+    if (Frozen[A] != Frozen[B])
+      return Frozen[A] < Frozen[B];
+    if (Activity[A] != Activity[B])
+      return Activity[A] > Activity[B];
+    return A < B;
+  }
+  void orderInsert(unsigned V);
+  void orderPopTop();
+  void orderSiftUp(size_t I);
+  void orderSiftDown(size_t I);
   Result search(const std::vector<Lit> &Assumptions, uint64_t ConflictBudget,
                 Fuel *F);
 
-  std::vector<Clause> Clauses;
+  // Clause arena. A block never grows past the capacity it was reserved
+  // with (a copied solver's blocks are full), so clauses never move.
+  std::vector<std::vector<Lit>> Blocks;
+  unsigned NumClauses = 0;
   std::vector<std::vector<Watch>> Watches; // indexed by Lit code
   std::vector<LBool> Assign;               // per var
   std::vector<LBool> SavedPhase;           // per var
@@ -174,7 +223,12 @@ private:
 
   std::vector<double> Activity; // per var
   double ActivityInc = 1.0;
-  std::vector<uint8_t> Seen; // scratch for analyze()
+  std::vector<unsigned> Order; // decision heap; holds every unassigned var
+  std::vector<int> OrderPos;   // per var
+
+  std::vector<uint8_t> Seen;    // scratch for analyze()
+  std::vector<Lit> Learnt;      // scratch: the clause analyze() learns
+  std::vector<Lit> AddScratch;  // scratch: addClause()'s normalized clause
 
   std::vector<LBool> Model; // snapshot of the last Sat assignment
   std::vector<Lit> Core;    // failed assumptions of the last Unsat

@@ -6,8 +6,34 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace veriopt {
 namespace {
+
+/// PHP(N, N-1) over fresh variables; with \p Guard, every clause is
+/// guarded by ~Guard.
+void addPigeonHole(SatSolver &S, int N, const std::vector<Lit> &Guard = {}) {
+  const int H = N - 1;
+  std::vector<std::vector<unsigned>> P(N, std::vector<unsigned>(H));
+  for (auto &Row : P)
+    for (unsigned &V : Row)
+      V = S.newVar();
+  for (int I = 0; I < N; ++I) {
+    std::vector<Lit> Cl = Guard;
+    for (int K = 0; K < H; ++K)
+      Cl.push_back(Lit(P[I][K], false));
+    S.addClause(Cl);
+  }
+  for (int K = 0; K < H; ++K)
+    for (int I = 0; I < N; ++I)
+      for (int J = I + 1; J < N; ++J) {
+        std::vector<Lit> Cl = Guard;
+        Cl.push_back(Lit(P[I][K], true));
+        Cl.push_back(Lit(P[J][K], true));
+        S.addClause(Cl);
+      }
+}
 
 TEST(Sat, TrivialSat) {
   SatSolver S;
@@ -69,37 +95,14 @@ TEST(Sat, PigeonHole3Into2) {
   // PHP(3,2): 3 pigeons, 2 holes — classic small UNSAT instance that
   // requires real conflict analysis.
   SatSolver S;
-  unsigned P[3][2];
-  for (auto &Row : P)
-    for (unsigned &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < 3; ++I)
-    S.addClause(Lit(P[I][0], false), Lit(P[I][1], false));
-  for (int H = 0; H < 2; ++H)
-    for (int I = 0; I < 3; ++I)
-      for (int J = I + 1; J < 3; ++J)
-        S.addClause(Lit(P[I][H], true), Lit(P[J][H], true));
+  addPigeonHole(S, 3);
   EXPECT_EQ(S.solve(), SatSolver::Result::Unsat);
 }
 
 TEST(Sat, ConflictBudgetReportsUnknown) {
   // PHP(7,6) is hard enough that a budget of 1 conflict cannot finish.
   SatSolver S;
-  const int N = 7, H = 6;
-  std::vector<std::vector<unsigned>> P(N, std::vector<unsigned>(H));
-  for (auto &Row : P)
-    for (unsigned &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < N; ++I) {
-    std::vector<Lit> Cl;
-    for (int K = 0; K < H; ++K)
-      Cl.push_back(Lit(P[I][K], false));
-    S.addClause(Cl);
-  }
-  for (int K = 0; K < H; ++K)
-    for (int I = 0; I < N; ++I)
-      for (int J = I + 1; J < N; ++J)
-        S.addClause(Lit(P[I][K], true), Lit(P[J][K], true));
+  addPigeonHole(S, 7);
   EXPECT_EQ(S.solve(1), SatSolver::Result::Unknown);
   // And with no budget it proves unsatisfiability.
   EXPECT_EQ(S.solve(0), SatSolver::Result::Unsat);
@@ -341,28 +344,12 @@ TEST(SatIncremental, BackToBackSolvesMatchFreshSolvers) {
 TEST(SatIncremental, SolveAfterBudgetUnknownMatchesFresh) {
   // A budget-starved Unknown in between must not perturb later verdicts
   // (the historic stale-state failure mode).
-  auto buildPHP = [](SatSolver &S, int N, int H) {
-    std::vector<std::vector<unsigned>> P(N, std::vector<unsigned>(H));
-    for (auto &Row : P)
-      for (unsigned &V : Row)
-        V = S.newVar();
-    for (int I = 0; I < N; ++I) {
-      std::vector<Lit> Cl;
-      for (int K = 0; K < H; ++K)
-        Cl.push_back(Lit(P[I][K], false));
-      S.addClause(Cl);
-    }
-    for (int K = 0; K < H; ++K)
-      for (int I = 0; I < N; ++I)
-        for (int J = I + 1; J < N; ++J)
-          S.addClause(Lit(P[I][K], true), Lit(P[J][K], true));
-  };
   SatSolver Inc;
-  buildPHP(Inc, 6, 5);
+  addPigeonHole(Inc, 6);
   EXPECT_EQ(Inc.solve(2), SatSolver::Result::Unknown);
   EXPECT_EQ(Inc.solve(3), SatSolver::Result::Unknown);
   SatSolver Fresh;
-  buildPHP(Fresh, 6, 5);
+  addPigeonHole(Fresh, 6);
   EXPECT_EQ(Inc.solve(0), Fresh.solve(0));
   EXPECT_EQ(Inc.solve(0), SatSolver::Result::Unsat);
 }
@@ -371,17 +358,7 @@ TEST(SatIncremental, LearnedClausesRetainedAcrossCalls) {
   // numClauses() counts learnt clauses too: after a search that conflicts,
   // the clause database must have grown, and per-call stats must reset.
   SatSolver S;
-  unsigned P[4][3];
-  for (auto &Row : P)
-    for (unsigned &V : Row)
-      V = S.newVar();
-  for (int I = 0; I < 4; ++I)
-    S.addClause(std::vector<Lit>{Lit(P[I][0], false), Lit(P[I][1], false),
-                                 Lit(P[I][2], false)});
-  for (int H = 0; H < 3; ++H)
-    for (int I = 0; I < 4; ++I)
-      for (int J = I + 1; J < 4; ++J)
-        S.addClause(Lit(P[I][H], true), Lit(P[J][H], true));
+  addPigeonHole(S, 4);
   uint64_t Before = S.numClauses();
   ASSERT_EQ(S.solve(), SatSolver::Result::Unsat);
   EXPECT_GT(S.lastConflicts(), 0u);
@@ -389,6 +366,196 @@ TEST(SatIncremental, LearnedClausesRetainedAcrossCalls) {
   // A second solve on the latched instance is immediate: no new conflicts.
   ASSERT_EQ(S.solve(), SatSolver::Result::Unsat);
   EXPECT_EQ(S.lastConflicts(), 0u);
+}
+
+//===--- Search-trajectory golden values -------------------------------------//
+//
+// Speedups to the solver's data structures (decision order, clause storage)
+// must not change a single search decision: every smt.* counter and every
+// tiny bench baseline depends on it. These tests pin the exact
+// (result, conflicts, decisions, propagations) of fixed instances, plus a
+// fingerprint of the model on Sat answers. The values were recorded when
+// decisions still came from a linear scan over all variables, so they hold
+// the decision heap to that scan's choices. A change that alters search
+// rebaselines them once, following docs/COMPARISON.md.
+
+/// One solve() call's outcome: result, per-call counters and, on Sat, an
+/// FNV-1a fingerprint of the model over variables 1..numVars().
+std::string trajectory(const SatSolver &S, SatSolver::Result R) {
+  const char *Name = R == SatSolver::Result::Sat     ? "sat"
+                     : R == SatSolver::Result::Unsat ? "unsat"
+                                                     : "unknown";
+  std::string Out = std::string(Name) + " c=" +
+                    std::to_string(S.lastConflicts()) +
+                    " d=" + std::to_string(S.lastDecisions()) +
+                    " p=" + std::to_string(S.lastPropagations());
+  if (R == SatSolver::Result::Sat) {
+    uint64_t H = 0xcbf29ce484222325ULL;
+    for (unsigned V = 1; V <= S.numVars(); ++V)
+      H = (H ^ (S.modelValue(V) ? 1u : 0u)) * 0x100000001b3ULL;
+    Out += " m=" + std::to_string(H);
+  }
+  return Out;
+}
+
+/// Random 3-SAT clauses over variables [First, First + NumVars).
+std::vector<std::vector<Lit>> random3Sat(RNG &R, unsigned First,
+                                         unsigned NumVars, unsigned Count) {
+  std::vector<std::vector<Lit>> Clauses(Count);
+  for (auto &Cl : Clauses)
+    for (int K = 0; K < 3; ++K) {
+      // Two statements: argument evaluation order is unspecified, and the
+      // pinned values depend on the draw order.
+      unsigned V = First + static_cast<unsigned>(R.below(NumVars));
+      Cl.push_back(Lit(V, R.chance(0.5)));
+    }
+  return Clauses;
+}
+
+TEST(SatGolden, PigeonHoleAcrossActivityRescale) {
+  // PHP(8,7): a first call stopped by a 2000-conflict budget, then a call
+  // that proves it. At decay 0.95 the activity increment crosses 1e100
+  // after ~4.5k conflicts (counted across calls), so the second call runs
+  // through a rescale of every activity.
+  SatSolver S;
+  addPigeonHole(S, 8);
+  std::vector<std::string> Got;
+  Got.push_back(trajectory(S, S.solve(2000)));
+  Got.push_back(trajectory(S, S.solve(20000)));
+  EXPECT_EQ(Got, (std::vector<std::string>{
+                     "unknown c=2000 d=2490 p=27455",
+                     "unsat c=3142 d=3662 p=38988",
+                 }));
+}
+
+TEST(SatGolden, UnderflowTiesFallToIndex) {
+  // A satisfiable random instance bumps its variables, then a guarded
+  // PHP(10,9) runs 24k conflicts: four activity rescales, which underflow
+  // the first instance's activities to exactly 0. The last call must then
+  // order those now-equal variables by index, as if freshly sorted.
+  RNG R(3);
+  SatSolver S;
+  const unsigned NumVars = 150;
+  for (unsigned V = 0; V < NumVars; ++V)
+    S.newVar();
+  for (const auto &Cl : random3Sat(R, 1, NumVars, 600))
+    S.addClause(Cl);
+  std::vector<std::string> Got;
+  Got.push_back(trajectory(S, S.solve()));
+  unsigned Sel = S.newVar();
+  S.setFrozen(Sel, true);
+  addPigeonHole(S, 10, {Lit(Sel, true)});
+  Got.push_back(trajectory(S, S.solve({Lit(Sel, false)}, 24000)));
+  for (const auto &Cl : random3Sat(R, 1, NumVars, 45))
+    S.addClause(Cl);
+  Got.push_back(trajectory(S, S.solve({Lit(Sel, true)})));
+  EXPECT_EQ(Got, (std::vector<std::string>{
+                     "sat c=1112 d=1354 p=37543 m=854478037893308289",
+                     "unknown c=24000 d=28022 p=282778",
+                     "unsat c=325 d=487 p=9565",
+                 }));
+}
+
+TEST(SatGolden, Random3SatAtThreshold) {
+  // Three seeded instances at the 3-SAT phase transition (ratio 4.26).
+  std::vector<std::string> Got;
+  for (uint64_t Seed : {1, 2, 3}) {
+    RNG R(Seed);
+    SatSolver S;
+    const unsigned NumVars = 120;
+    for (unsigned V = 0; V < NumVars; ++V)
+      S.newVar();
+    bool Ok = true;
+    for (const auto &Cl : random3Sat(R, 1, NumVars, 511))
+      Ok = S.addClause(Cl) && Ok;
+    ASSERT_TRUE(Ok);
+    Got.push_back(trajectory(S, S.solve()));
+  }
+  EXPECT_EQ(Got, (std::vector<std::string>{
+                     "sat c=365 d=493 p=9890 m=10105110012572634144",
+                     "unsat c=630 d=768 p=18039",
+                     "unsat c=522 d=630 p=14233",
+                 }));
+}
+
+/// A shared random base plus six groups of clauses, each guarded by a
+/// frozen selector (sel -> clause), the layout QueryPrefix gives a solver.
+std::vector<unsigned> buildGuardedInstance(SatSolver &S, RNG &R) {
+  const unsigned NumVars = 150;
+  for (unsigned V = 0; V < NumVars; ++V)
+    S.newVar();
+  for (const auto &Cl : random3Sat(R, 1, NumVars, 540))
+    S.addClause(Cl);
+  std::vector<unsigned> Sels;
+  for (int G = 0; G < 6; ++G) {
+    unsigned Sel = S.newVar();
+    S.setFrozen(Sel, true);
+    Sels.push_back(Sel);
+    for (auto Cl : random3Sat(R, 1, NumVars, 60)) {
+      Cl.push_back(Lit(Sel, true));
+      S.addClause(Cl);
+    }
+  }
+  return Sels;
+}
+
+TEST(SatGolden, IncrementalFrozenSelectorSequence) {
+  RNG R(42);
+  SatSolver S;
+  std::vector<unsigned> Sels = buildGuardedInstance(S, R);
+  auto on = [&](unsigned G) { return Lit(Sels[G], false); };
+  auto off = [&](unsigned G) { return Lit(Sels[G], true); };
+  std::vector<std::string> Got;
+  Got.push_back(trajectory(S, S.solve({on(0)})));
+  Got.push_back(trajectory(S, S.solve({on(1), on(2)})));
+  Got.push_back(trajectory(S, S.solve({on(0), on(3), on(4), on(5)})));
+  Got.push_back(trajectory(S, S.solve({on(1), off(2), on(3)}, 50)));
+  Got.push_back(trajectory(S, S.solve()));
+  // Unfreezing a selector lets it compete in normal branching.
+  S.setFrozen(Sels[5], false);
+  Got.push_back(trajectory(S, S.solve({on(2), on(4)})));
+  S.setFrozen(Sels[5], true);
+  Got.push_back(trajectory(S, S.solve({on(0), on(1), on(2), on(3), on(4),
+                                       on(5)})));
+  EXPECT_EQ(Got, (std::vector<std::string>{
+                     "sat c=1967 d=2365 p=67053 m=17287040619713773031",
+                     "unsat c=1107 d=1296 p=36763",
+                     "unsat c=347 d=419 p=9102",
+                     "unknown c=50 d=63 p=1667",
+                     "sat c=183 d=238 p=6522 m=2338317990245141744",
+                     "unsat c=809 d=964 p=25067",
+                     "unsat c=0 d=2 p=3",
+                 }));
+}
+
+TEST(SatGolden, CopiedSolverRepeatsMasterSearch) {
+  // QueryPrefix::activate copies the master solver per query: the copy must
+  // be a full value copy (clauses, watches, activities, decision order), so
+  // it searches exactly as the master would.
+  RNG R(7);
+  SatSolver Master;
+  std::vector<unsigned> Sels = buildGuardedInstance(Master, R);
+  std::vector<std::string> Got;
+  Got.push_back(trajectory(Master, Master.solve({Lit(Sels[0], false)})));
+  SatSolver Copy = Master;
+  const std::vector<Lit> Query = {Lit(Sels[1], false), Lit(Sels[3], false),
+                                  Lit(Sels[4], false)};
+  std::string CopyRun = trajectory(Copy, Copy.solve(Query));
+  std::string MasterRun = trajectory(Master, Master.solve(Query));
+  EXPECT_EQ(CopyRun, MasterRun);
+  Got.push_back(CopyRun);
+  // The copy owns its clause storage: growing it leaves the master intact.
+  for (const auto &Cl : random3Sat(R, 1, 150, 90))
+    Copy.addClause(Cl);
+  const std::vector<Lit> Next = {Lit(Sels[2], false), Lit(Sels[5], false)};
+  Got.push_back(trajectory(Copy, Copy.solve(Next)));
+  Got.push_back(trajectory(Master, Master.solve(Next)));
+  EXPECT_EQ(Got, (std::vector<std::string>{
+                     "sat c=132 d=216 p=4539 m=16200180513008360109",
+                     "unsat c=563 d=697 p=16840",
+                     "unsat c=337 d=430 p=9151",
+                     "unsat c=903 d=1083 p=28574",
+                 }));
 }
 
 } // namespace
