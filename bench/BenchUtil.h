@@ -2,9 +2,7 @@
 //
 // Every bench binary regenerates one table or figure of the paper on the
 // synthetic corpus. They share the dataset/pipeline configuration here so
-// rows are comparable across binaries. Scale can be adjusted with the
-// VERIOPT_BENCH_SCALE environment variable (default 1; 2 doubles corpus
-// sizes and training budgets).
+// rows are comparable across binaries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,29 +11,16 @@
 
 #include "pipeline/Evaluation.h"
 #include "pipeline/Pipeline.h"
-#include "report/BenchJson.h"
-#include "trace/Metrics.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
 
 namespace veriopt {
 namespace bench {
 
-inline unsigned scale() {
-  const char *S = std::getenv("VERIOPT_BENCH_SCALE");
-  if (!S)
-    return 1;
-  int V = std::atoi(S);
-  return V > 0 ? static_cast<unsigned>(V) : 1;
-}
-
 inline DatasetOptions benchDataset() {
   DatasetOptions D;
-  D.TrainCount = 60 * scale();
-  D.ValidCount = 100 * scale();
+  D.TrainCount = 60;
+  D.ValidCount = 100;
   D.Seed = 2026;
   return D;
 }
@@ -43,9 +28,9 @@ inline DatasetOptions benchDataset() {
 inline PipelineOptions benchPipeline() {
   PipelineOptions P;
   P.Data = benchDataset();
-  P.Stage1Steps = 50 * scale();
-  P.Stage2Steps = 80 * scale();
-  P.Stage3Steps = 200 * scale();
+  P.Stage1Steps = 50;
+  P.Stage2Steps = 80;
+  P.Stage3Steps = 200;
   return P;
 }
 
@@ -72,26 +57,6 @@ inline void taxonomyRow(const char *Name, const VerifyTaxonomy &T) {
               T.Inconclusive, T.pct(T.Inconclusive));
   std::printf("  => different-and-correct rate:   %5.1f%%\n",
               T.differentCorrectRate());
-}
-
-/// Write the shared machine-readable result file, `BENCH_<name>.json` in
-/// the working directory. Every bench emits the same schema — the
-/// process-wide MetricsRegistry snapshot under "metrics", with
-/// bench-specific headline numbers published as `bench.*` gauges — so
-/// multi-run comparison tooling never needs per-binary parsers. The schema
-/// (and its versioning) is owned by src/report/BenchJson.h, which is also
-/// the validator behind `report --bench-diff`; emitting through it keeps
-/// writer and checker from drifting.
-inline bool writeBenchJson(const std::string &Name) {
-  const std::string Path = "BENCH_" + Name + ".json";
-  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-  if (!OS)
-    return false;
-  OS << benchReportToJson(Name, MetricsRegistry::global().snapshot());
-  OS.flush();
-  if (OS)
-    std::printf("\nwrote %s\n", Path.c_str());
-  return static_cast<bool>(OS);
 }
 
 } // namespace bench

@@ -212,8 +212,7 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
 /// Count bit-exact differences between two results: taxonomy counts, every
 /// aggregate (doubles compared by bit pattern, so -0.0 != 0.0 and NaN ==
 /// NaN), and every per-sample field. 0 means bit-identical. The
-/// differential gates (bench/sharded_eval, bench/eval_driver,
-/// veriopt-drive --tiny) all key off this.
+/// differential tests and the veriopt-drive --tiny gates key off this.
 unsigned countResultDivergence(const EvalResult &A, const EvalResult &B);
 
 //===--- Shard serialization ------------------------------------------------===//

@@ -2,8 +2,6 @@
 
 #include "trace/Metrics.h"
 
-#include "trace/Json.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -114,48 +112,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
     S.Histograms[Name] = std::move(HS);
   }
   return S;
-}
-
-std::string MetricsRegistry::toJson(const Snapshot &S) {
-  std::string Out = "{\"counters\":{";
-  bool First = true;
-  for (const auto &[Name, V] : S.Counters) {
-    if (!First)
-      Out.push_back(',');
-    First = false;
-    Out += jsonString(Name) + ":" + std::to_string(V);
-  }
-  Out += "},\"gauges\":{";
-  First = true;
-  for (const auto &[Name, V] : S.Gauges) {
-    if (!First)
-      Out.push_back(',');
-    First = false;
-    Out += jsonString(Name) + ":" + jsonNumber(V);
-  }
-  Out += "},\"histograms\":{";
-  First = true;
-  for (const auto &[Name, H] : S.Histograms) {
-    if (!First)
-      Out.push_back(',');
-    First = false;
-    Out += jsonString(Name) + ":{\"bounds\":[";
-    for (size_t I = 0; I < H.Bounds.size(); ++I) {
-      if (I)
-        Out.push_back(',');
-      Out += jsonNumber(H.Bounds[I]);
-    }
-    Out += "],\"counts\":[";
-    for (size_t I = 0; I < H.Counts.size(); ++I) {
-      if (I)
-        Out.push_back(',');
-      Out += std::to_string(H.Counts[I]);
-    }
-    Out += "],\"count\":" + std::to_string(H.Count) +
-           ",\"sum\":" + jsonNumber(H.Sum) + "}";
-  }
-  Out += "}}";
-  return Out;
 }
 
 } // namespace veriopt

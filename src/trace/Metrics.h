@@ -108,11 +108,6 @@ public:
   };
   Snapshot snapshot() const;
 
-  /// Serialize a snapshot as one stable, sorted JSON object — the shared
-  /// BENCH_*.json schema the benches emit (see docs/OBSERVABILITY.md).
-  static std::string toJson(const Snapshot &S);
-  std::string toJson() const { return toJson(snapshot()); }
-
 private:
   mutable std::mutex M;
   std::map<std::string, std::unique_ptr<Counter>> Counters;

@@ -7,6 +7,8 @@
 #include "ir/Verifier.h"
 #include "verify/AliveLite.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
 namespace veriopt {
@@ -103,13 +105,19 @@ TEST(InstCombine, NotICmpInverts) {
 }
 
 TEST(InstCombine, ICmpCanonicalization) {
-  // uge with constant canonicalizes to ugt; constant moves right.
+  // uge with constant canonicalizes to ugt; constant moves right; ugt 0 is
+  // ne 0. The golden pins which rules fired and the verification work.
+  MetricsDelta Delta;
   std::string Out = optimize(
       "define i1 @f(i32 %x) {\n  %c = icmp uge i32 %x, 10\n  ret i1 %c\n}\n");
   EXPECT_HAS(Out, "icmp ugt i32 %x, 9");
   std::string Out2 = optimize(
       "define i1 @f(i32 %x) {\n  %c = icmp slt i32 3, %x\n  ret i1 %c\n}\n");
   EXPECT_HAS(Out2, "icmp sgt i32 %x, 3");
+  std::string Out3 = optimize(
+      "define i1 @f(i32 %x) {\n  %c = icmp ugt i32 %x, 0\n  ret i1 %c\n}\n");
+  EXPECT_HAS(Out3, "icmp ne i32 %x, 0");
+  Delta.expectGolden();
 }
 
 TEST(InstCombine, ICmpTautologies) {

@@ -18,6 +18,8 @@
 
 #include "support/AtomicFile.h"
 
+#include "Golden.h"
+
 #include "gtest/gtest.h"
 
 #include <cstdlib>
@@ -77,6 +79,8 @@ TEST(DriverBackoff, GrowsExponentiallyUpToCap) {
 //===--- Fixture: scratch dir + worker invocations ----------------------------//
 
 struct DriverTest : ::testing::Test {
+  /// Snapshot taken before SetUp, so a golden also pins the corpus build.
+  MetricsDelta Delta;
   std::string Dir;
   std::vector<Sample> Valid;
   RewritePolicyModel Model{presetQwen3B()};
@@ -152,6 +156,7 @@ TEST_F(DriverTest, AllHealthyIsBitIdenticalToInProcess) {
   EvalResult InProc = evaluateModelSharded(Model, Valid, PromptMode::Generic,
                                            VerifyOptions(), EO);
   EXPECT_EQ(countResultDivergence(InProc, R.Merged), 0u);
+  Delta.expectGolden();
 }
 
 //===--- Crash -> retry -> quarantine -----------------------------------------//
@@ -179,6 +184,7 @@ TEST_F(DriverTest, CrashingShardIsQuarantinedWithDiagnostics) {
   EXPECT_EQ(countResultDivergence(oracleSubset(R.HealthyShardIndices),
                                   R.Merged),
             0u);
+  Delta.expectGolden();
 }
 
 TEST_F(DriverTest, CorruptResultFileIsDetectedNotMerged) {
@@ -214,6 +220,7 @@ TEST_F(DriverTest, FlakyShardIsSalvagedByRetry) {
   EXPECT_EQ(countResultDivergence(
                 evaluateModel(Model, Valid, PromptMode::Generic), R.Merged),
             0u);
+  Delta.expectGolden();
 }
 
 //===--- Resume ----------------------------------------------------------------//

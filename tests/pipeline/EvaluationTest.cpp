@@ -5,15 +5,9 @@
 #include "cost/CostModel.h"
 #include "rl/Reward.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#ifndef VERIOPT_TEST_DATA_DIR
-#error "VERIOPT_TEST_DATA_DIR must point at tests/pipeline"
-#endif
 
 namespace veriopt {
 namespace {
@@ -140,18 +134,8 @@ TEST(Evaluation, EmptySplitRendersZeroPercentRows) {
   EXPECT_EQ(Table.find("nan"), std::string::npos) << Table;
   EXPECT_EQ(Table.find("inf"), std::string::npos) << Table;
 
-  const std::string GoldenPath =
-      std::string(VERIOPT_TEST_DATA_DIR) + "/golden_empty_taxonomy.txt";
-  if (std::getenv("VERIOPT_REGEN_GOLDEN")) {
-    std::ofstream OS(GoldenPath, std::ios::binary);
-    OS << Table;
-    GTEST_SKIP() << "regenerated " << GoldenPath;
-  }
-  std::ifstream IS(GoldenPath);
-  ASSERT_TRUE(IS.good()) << "missing golden file " << GoldenPath;
-  std::stringstream SS;
-  SS << IS.rdbuf();
-  EXPECT_EQ(Table, SS.str());
+  expectGolden(Table, std::string(VERIOPT_TEST_DATA_DIR) +
+                          "/golden_empty_taxonomy.txt");
 }
 
 TEST(Evaluation, ReferenceRowMatchesSampleReferences) {

@@ -13,6 +13,8 @@
 #include "support/ThreadPool.h"
 #include "trace/Metrics.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -109,8 +111,10 @@ TEST(ShardedEval, ShardSizesDifferByAtMostOne) {
 //===--- The differential guarantee -----------------------------------------===//
 
 TEST(ShardedEval, BitIdenticalToSerialAcrossShardAndThreadCounts) {
+  const std::vector<Sample> &Valid = ds().Valid; // built before the snapshot
+  MetricsDelta Delta;
   RewritePolicyModel Base(presetQwen3B());
-  EvalResult Oracle = evaluateModel(Base, ds().Valid, PromptMode::Generic);
+  EvalResult Oracle = evaluateModel(Base, Valid, PromptMode::Generic);
 
   ThreadPool Pool(4);
   // A private cache per run, then one cache shared (and warmed) across
@@ -123,13 +127,25 @@ TEST(ShardedEval, BitIdenticalToSerialAcrossShardAndThreadCounts) {
       EO.Pool = &Pool;
       EO.SharedCache = Shared;
       EvalResult Sharded = evaluateModelSharded(
-          Base, ds().Valid, PromptMode::Generic, VerifyOptions(), EO);
+          Base, Valid, PromptMode::Generic, VerifyOptions(), EO);
       SCOPED_TRACE(testing::Message() << "shards=" << Shards << " shared="
                                       << (Shared != nullptr));
       expectResultEq(Oracle, Sharded);
     }
   }
   EXPECT_GT(Warm.counters().Hits, 0u);
+
+  // The plain-verifier shard arm: shards evaluated concurrently with the
+  // per-sample verifier (no group verification, no cache), then merged.
+  auto Plan = planEvalShards(Valid.size(), 8);
+  std::vector<ShardEvalResult> Plain(Plan.size());
+  Pool.parallelFor(Plan.size(), [&](size_t I) {
+    Plain[I] = evaluateEvalShard(Base, Valid, PromptMode::Generic,
+                                 VerifyOptions(), Plan[I]);
+  });
+  expectResultEq(Oracle, mergeShardResults(Base.config().Name,
+                                           std::move(Plain)));
+  Delta.expectGolden();
 }
 
 TEST(ShardedEval, SerialPoolAndNullPoolAgree) {

@@ -3,15 +3,11 @@
 #include "report/RunDiff.h"
 #include "report/TraceData.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-
-#ifndef VERIOPT_TEST_DATA_DIR
-#error "VERIOPT_TEST_DATA_DIR must point at tests/report"
-#endif
 
 namespace veriopt {
 namespace {
@@ -166,20 +162,8 @@ TEST(RunDiffTest, GoldenRendering) {
   std::string Rendered =
       renderRunDiff(diffRuns(summarize(RunSpec{}), summarize(B)), /*TopN=*/3);
 
-  const std::string GoldenPath =
-      std::string(VERIOPT_TEST_DATA_DIR) + "/golden_diff.txt";
-  if (std::getenv("VERIOPT_REGEN_GOLDEN")) {
-    std::ofstream OS(GoldenPath, std::ios::binary);
-    OS << Rendered;
-    GTEST_SKIP() << "regenerated " << GoldenPath;
-  }
-  std::ifstream IS(GoldenPath);
-  ASSERT_TRUE(IS.good()) << "missing golden file " << GoldenPath;
-  std::stringstream SS;
-  SS << IS.rdbuf();
-  EXPECT_EQ(Rendered, SS.str())
-      << "diff rendering drifted from the golden file; if intentional, "
-         "regenerate tests/report/golden_diff.txt";
+  expectGolden(Rendered,
+               std::string(VERIOPT_TEST_DATA_DIR) + "/golden_diff.txt");
 }
 
 TEST(RunDiffTest, WallClockMetricsLiveOnTheTimingPlane) {

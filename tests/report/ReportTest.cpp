@@ -3,15 +3,11 @@
 #include "report/RunReport.h"
 #include "report/TraceData.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-
-#ifndef VERIOPT_TEST_DATA_DIR
-#error "VERIOPT_TEST_DATA_DIR must point at tests/report"
-#endif
 
 namespace veriopt {
 namespace {
@@ -207,20 +203,8 @@ TEST(Report, GoldenRendering) {
   ASSERT_TRUE(validateTraceLog(Log, &Err)) << Err;
   std::string Rendered = renderRunReport(Log, /*TopN=*/3);
 
-  const std::string GoldenPath =
-      std::string(VERIOPT_TEST_DATA_DIR) + "/golden_report.txt";
-  if (std::getenv("VERIOPT_REGEN_GOLDEN")) {
-    std::ofstream OS(GoldenPath, std::ios::binary);
-    OS << Rendered;
-    GTEST_SKIP() << "regenerated " << GoldenPath;
-  }
-  std::ifstream IS(GoldenPath);
-  ASSERT_TRUE(IS.good()) << "missing golden file " << GoldenPath;
-  std::stringstream SS;
-  SS << IS.rdbuf();
-  EXPECT_EQ(Rendered, SS.str())
-      << "report rendering drifted from the golden file; if intentional, "
-         "regenerate tests/report/golden_report.txt";
+  expectGolden(Rendered,
+               std::string(VERIOPT_TEST_DATA_DIR) + "/golden_report.txt");
 }
 
 TEST(Report, RenderIsDeterministic) {

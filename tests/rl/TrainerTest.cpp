@@ -6,6 +6,8 @@
 #include "ir/Printer.h"
 #include "trace/Metrics.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -56,6 +58,7 @@ TEST(Trainer, ClipGradientScalesDown) {
 
 TEST(Trainer, GRPOImprovesRewardAndKillsCorruption) {
   const Dataset &DS = tinyDataset();
+  MetricsDelta Delta;
   RewritePolicyModel Model(presetQwen3B());
   GRPOOptions G;
   G.GroupSize = 6;
@@ -81,6 +84,7 @@ TEST(Trainer, GRPOImprovesRewardAndKillsCorruption) {
   EXPECT_GT(LateEq, EarlyEq - 1.0);
   // EMA is a smoothed version of the raw series.
   EXPECT_NE(Logs.back().EMAReward, 0.0);
+  Delta.expectGolden();
 }
 
 TEST(Trainer, GroupRelativeAdvantageNeedsVariation) {
@@ -101,8 +105,10 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
   // sequential with per-rollout RNGs, scoring writes only per-rollout
   // slots, so every reward/equivalence value in the log — and the trained
   // parameters — must be bit-identical at any thread count, with or
-  // without the verification memo.
+  // without the verification memo. The work all four runs did is pinned
+  // by a metrics golden.
   const Dataset &DS = tinyDataset();
+  MetricsDelta Delta;
 
   VerifyCache::Counters ParallelCache;
   auto runConfig = [&](unsigned Threads, bool UseCache,
@@ -127,10 +133,12 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
     return Logs;
   };
 
-  std::vector<double> SerialParams, ParallelParams, CachedParams;
+  std::vector<double> SerialParams, ParallelParams, CachedParams,
+      ThreadsOnlyParams;
   auto Serial = runConfig(1, /*UseCache=*/false, SerialParams);
   auto Parallel = runConfig(4, /*UseCache=*/true, ParallelParams);
   auto CacheOnly = runConfig(1, /*UseCache=*/true, CachedParams);
+  auto ThreadsOnly = runConfig(4, /*UseCache=*/false, ThreadsOnlyParams);
 
   ASSERT_EQ(Serial.size(), Parallel.size());
   for (size_t I = 0; I < Serial.size(); ++I) {
@@ -142,12 +150,22 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
     EXPECT_EQ(Serial[I].GradNorm, Parallel[I].GradNorm) << "step " << I;
     EXPECT_EQ(Serial[I].MeanReward, CacheOnly[I].MeanReward) << "step " << I;
     EXPECT_EQ(Serial[I].GradNorm, CacheOnly[I].GradNorm) << "step " << I;
+    EXPECT_EQ(Serial[I].MeanReward, ThreadsOnly[I].MeanReward)
+        << "step " << I;
+    EXPECT_EQ(Serial[I].GradNorm, ThreadsOnly[I].GradNorm) << "step " << I;
   }
   EXPECT_EQ(SerialParams, ParallelParams);
   EXPECT_EQ(SerialParams, CachedParams);
+  EXPECT_EQ(SerialParams, ThreadsOnlyParams);
   // The memo must actually have been exercised on GRPO's repetitive groups.
   EXPECT_GT(ParallelCache.hitRate(), 0.0)
       << "verify cache never hit during training";
+
+  // The exported gauge is the logged EMA, and the golden pins it exactly.
+  EXPECT_EQ(MetricsRegistry::global().gauge("grpo.ema_reward").value(),
+            Serial.back().EMAReward);
+  Delta.pin("grpo.ema_reward", Serial.back().EMAReward);
+  Delta.expectGolden();
 }
 
 TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {

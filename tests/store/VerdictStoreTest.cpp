@@ -21,6 +21,8 @@
 #include "support/ThreadPool.h"
 #include "trace/Metrics.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -565,6 +567,7 @@ TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
 //===--- End-to-end bit-identity ---------------------------------------------===//
 
 TEST(VerdictStore, WarmColdAndNoStoreEvaluationsBitIdentical) {
+  MetricsDelta Delta;
   DatasetOptions DO;
   DO.TrainCount = 0;
   DO.ValidCount = 8;
@@ -578,12 +581,16 @@ TEST(VerdictStore, WarmColdAndNoStoreEvaluationsBitIdentical) {
   ScratchFile F("eval");
   // Cold store pass (populates), then warm passes across shard/thread
   // configurations — every one must be bit-identical to the no-store
-  // oracle, and the warm passes must actually replay verdicts.
+  // oracle, and the warm passes must actually replay verdicts, every
+  // record the cold pass journaled and nothing quarantined.
   const unsigned Configs[][2] = {{1, 1}, {3, 1}, {4, 2}};
   bool First = true;
+  size_t Records = 0;
   for (const auto &Cfg : Configs) {
     auto St = VerdictStore::open(F.Path);
     ASSERT_TRUE(St);
+    EXPECT_EQ(St->stats().Quarantined, 0u);
+    EXPECT_EQ(St->stats().LiveAtOpen, Records);
     ThreadPool Pool(Cfg[1]);
     EvalOptions EO;
     EO.Shards = Cfg[0];
@@ -601,7 +608,9 @@ TEST(VerdictStore, WarmColdAndNoStoreEvaluationsBitIdentical) {
           << "warm store did not replay verdicts";
     }
     ASSERT_TRUE(St->flush());
+    Records = St->size();
   }
+  Delta.expectGolden();
 }
 
 //===--- Graceful degradation under I/O faults --------------------------------===//

@@ -2,8 +2,6 @@
 
 #include "trace/Metrics.h"
 
-#include "trace/Json.h"
-
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -115,18 +113,6 @@ TEST(Metrics, SnapshotAndJson) {
   EXPECT_DOUBLE_EQ(S.Gauges.at("b.rate"), 0.5);
   ASSERT_EQ(S.Histograms.at("c.ms").Counts.size(), 3u);
   EXPECT_EQ(S.Histograms.at("c.ms").Counts[1], 1u);
-
-  // toJson round-trips through the in-tree parser.
-  JsonValue V;
-  std::string Err;
-  ASSERT_TRUE(parseJson(R.toJson(), V, &Err)) << Err;
-  ASSERT_TRUE(V.isObject());
-  EXPECT_DOUBLE_EQ(V.get("counters")->get("a.count")->number(), 3.0);
-  EXPECT_DOUBLE_EQ(V.get("gauges")->get("b.rate")->number(), 0.5);
-  const JsonValue *H = V.get("histograms")->get("c.ms");
-  ASSERT_NE(H, nullptr);
-  EXPECT_DOUBLE_EQ(H->get("count")->number(), 1.0);
-  EXPECT_DOUBLE_EQ(H->get("sum")->number(), 1.5);
 }
 
 TEST(Metrics, ConcurrentIncrementsDoNotLose) {

@@ -14,6 +14,8 @@
 #include "support/ThreadPool.h"
 #include "trace/Metrics.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
 namespace veriopt {
@@ -163,6 +165,7 @@ LadderOptions defaultLadder() {
 }
 
 TEST(BatchVerifier, MatchesSequentialOracleBitForBit) {
+  MetricsDelta Delta;
   Parsed Src(AddSrc);
   LadderOptions O = defaultLadder();
   auto Want = sequentialOracle(Src, addGroup(), O);
@@ -178,11 +181,13 @@ TEST(BatchVerifier, MatchesSequentialOracleBitForBit) {
   EXPECT_EQ(Counts.Unique, 6u);
   EXPECT_EQ(Counts.CacheHits, 0u); // cold cache
   EXPECT_GT(Counts.Computed, 0u);
+  Delta.expectGolden();
 }
 
 TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   // Starved tier 0 forces escalations; RetryTier and the summed conflict /
   // fuel accounting must match the sequential ladder exactly.
+  MetricsDelta Delta;
   Parsed Src(MulSrc);
   LadderOptions O;
   O.Base.FalsifyTrials = 0;
@@ -199,6 +204,7 @@ TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   O.Cache = &Cache;
   auto Got = groupVerdicts(O, Src, mulGroup());
   expectIdentical(Got, Want);
+  Delta.expectGolden();
 }
 
 TEST(BatchVerifier, ThreadCountInvariance) {

@@ -10,6 +10,8 @@
 #include "ir/Parser.h"
 #include "trace/Metrics.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
 namespace veriopt {
@@ -119,6 +121,7 @@ TEST(RobustVerifier, NonBudgetInconclusiveNeverRetried) {
 }
 
 TEST(RobustVerifier, EscalationRescuesFuelExhaustion) {
+  MetricsDelta Delta;
   Parsed Src(SimpleSrc);
   LadderOptions O;
   O.Base.FuelBudget = 8; // too small even for the falsification pre-pass
@@ -138,6 +141,7 @@ TEST(RobustVerifier, EscalationRescuesFuelExhaustion) {
   EXPECT_EQ(C.Escalations, 1u);
   EXPECT_EQ(C.Rescued, 1u);
   EXPECT_EQ(C.Terminal, 0u);
+  Delta.expectGolden();
 }
 
 TEST(RobustVerifier, TerminalInconclusiveWhenTopTierStillTooSmall) {

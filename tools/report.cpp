@@ -1,12 +1,10 @@
-//===- report.cpp - Run reports, A/B diffs, and bench regression gates ------===//
+//===- report.cpp - Run reports and A/B run diffs -------------------------===//
 //
 // The comparison CLI (workflow doc: docs/COMPARISON.md):
 //
 //   report <trace.jsonl> [--top N]           validate, then print the report
 //   report <trace.jsonl> --validate          schema validation only
 //   report --diff A.jsonl B.jsonl [--top N] [--gate-deterministic]
-//   report --bench-diff BASE.json CUR.json [--tolerance-file T.json]
-//          [--verbose]
 //   report --help
 //
 // Exit codes (stable — CI scripts key on them):
@@ -14,12 +12,11 @@
 //   64  usage error (unknown flag, missing operand)
 //   2   input failure: unreadable file, malformed JSON/JSONL (including a
 //       truncated trace), or a schema violation
-//   3   regression: --bench-diff found an out-of-tolerance instrument, or
-//       --gate-deterministic found a deterministic-plane divergence
+//   3   regression: --gate-deterministic found a deterministic-plane
+//       divergence
 //
 //===----------------------------------------------------------------------===//
 
-#include "report/BenchDiff.h"
 #include "report/RunDiff.h"
 #include "report/RunReport.h"
 
@@ -46,18 +43,13 @@ const char *HelpText = R"(usage:
                                       identity, reward curves, verdict/diag
                                       mix, retry ladder, cache efficacy, and
                                       per-span wall-time deltas
-  report --bench-diff BASELINE.json CURRENT.json
-         [--tolerance-file T.json] [--verbose]
-                                      validate both BENCH_<name>.json files
-                                      and compare under tolerance rules
   report --help                       this text
 
 exit codes:
   0   success / no regression
   64  usage error
   2   unreadable or schema-invalid input (including truncated JSONL)
-  3   regression (--bench-diff out of tolerance, or --gate-deterministic
-      with diverged deterministic planes)
+  3   regression (--gate-deterministic with diverged deterministic planes)
 
 docs: docs/COMPARISON.md (workflow), docs/OBSERVABILITY.md (schemas)
 )";
@@ -115,40 +107,12 @@ int runDiff(const std::string &PathA, const std::string &PathB, unsigned TopN,
   return ExitOk;
 }
 
-int runBenchDiff(const std::string &BasePath, const std::string &CurPath,
-                 const std::string &TolPath, bool Verbose) {
-  std::string Err;
-  BenchReport Base, Cur;
-  if (!loadBenchJson(BasePath, Base, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return ExitInput;
-  }
-  if (!loadBenchJson(CurPath, Cur, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return ExitInput;
-  }
-  ToleranceSpec Tol;
-  if (!TolPath.empty() && !loadToleranceSpec(TolPath, Tol, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return ExitInput;
-  }
-  BenchDiff D;
-  if (!compareBenchReports(Base, Cur, Tol, D, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return ExitInput;
-  }
-  std::fputs(renderBenchDiff(D, Verbose).c_str(), stdout);
-  return D.hasRegression() ? ExitRegression : ExitOk;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   std::vector<std::string> Positional;
-  bool ValidateOnly = false, DiffMode = false, BenchDiffMode = false;
-  bool GateDeterministic = false, Verbose = false;
+  bool ValidateOnly = false, DiffMode = false, GateDeterministic = false;
   unsigned TopN = 10;
-  std::string TolPath;
 
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
@@ -159,16 +123,8 @@ int main(int argc, char **argv) {
       ValidateOnly = true;
     } else if (std::strcmp(Arg, "--diff") == 0) {
       DiffMode = true;
-    } else if (std::strcmp(Arg, "--bench-diff") == 0) {
-      BenchDiffMode = true;
     } else if (std::strcmp(Arg, "--gate-deterministic") == 0) {
       GateDeterministic = true;
-    } else if (std::strcmp(Arg, "--verbose") == 0) {
-      Verbose = true;
-    } else if (std::strcmp(Arg, "--tolerance-file") == 0) {
-      if (I + 1 >= argc)
-        return usage(argv[0], "--tolerance-file needs a path");
-      TolPath = argv[++I];
     } else if (std::strcmp(Arg, "--top") == 0) {
       if (I + 1 >= argc)
         return usage(argv[0], "--top needs a count");
@@ -183,25 +139,15 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (DiffMode && BenchDiffMode)
-    return usage(argv[0], "--diff and --bench-diff are mutually exclusive");
-
-  if (BenchDiffMode) {
-    if (GateDeterministic || ValidateOnly)
-      return usage(argv[0], "flag does not apply to --bench-diff");
-    if (Positional.size() != 2)
-      return usage(argv[0], "--bench-diff needs BASELINE.json CURRENT.json");
-    return runBenchDiff(Positional[0], Positional[1], TolPath, Verbose);
-  }
   if (DiffMode) {
-    if (ValidateOnly || Verbose || !TolPath.empty())
+    if (ValidateOnly)
       return usage(argv[0], "flag does not apply to --diff");
     if (Positional.size() != 2)
       return usage(argv[0], "--diff needs A.jsonl B.jsonl");
     return runDiff(Positional[0], Positional[1], TopN, GateDeterministic);
   }
-  if (GateDeterministic || Verbose || !TolPath.empty())
-    return usage(argv[0], "flag requires --diff or --bench-diff");
+  if (GateDeterministic)
+    return usage(argv[0], "flag requires --diff");
   if (Positional.size() != 1)
     return usage(argv[0], "need exactly one <trace.jsonl>");
   return runReport(Positional[0], ValidateOnly, TopN);
