@@ -75,9 +75,13 @@ public:
   /// Total instruction count across all blocks.
   unsigned instructionCount() const;
 
-  /// Deep copy with fresh values/blocks. Constants are uniqued per function
-  /// copy via the owning module-free pool (see Module::cloneFunction when a
-  /// module context is needed; this clone keeps constants shared).
+  /// Deep copy with fresh values/blocks; constants are re-uniqued in the
+  /// copy's own pool. Callee declarations are not copied: a cloned call
+  /// keeps pointing at the declaration the original's module owns, and
+  /// setting that operand `addUser`s on it without a lock. Two threads
+  /// cloning functions that call one declaration (e.g. the same prompt
+  /// twice in a GRPO batch) therefore race on its user list, so clones of
+  /// one module's functions must not run concurrently.
   std::unique_ptr<Function> clone() const;
 
   /// Constant pool: uniqued ConstantInt values owned by this function's

@@ -252,7 +252,7 @@ public:
         return fail("unexpected token '" + describe(T) + "' at module level");
       }
     }
-    return std::move(M);
+    return M;
   }
 
 private:

@@ -71,7 +71,8 @@ const char *actionName(Action A) {
 // Features
 //===----------------------------------------------------------------------===//
 
-std::array<double, NumFeatures> extractFeatures(const Function &F) {
+std::array<double, NumFeatures> extractFeatures(const Function &F,
+                                                const std::string &Text) {
   std::array<double, NumFeatures> Phi{};
   Phi[0] = 1.0; // bias
   bool HasAlloca = false, HasCall = false, HasMulDiv = false,
@@ -100,7 +101,7 @@ std::array<double, NumFeatures> extractFeatures(const Function &F) {
   Phi[9] = MaxWidth > 32 ? 1.0 : 0.0;
   // Content-hash bits (FNV-1a over the printed text).
   uint64_t H = 0xcbf29ce484222325ULL;
-  for (char C : printFunction(F))
+  for (char C : Text)
     H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
   for (unsigned B = 0; B < 4; ++B)
     Phi[10 + B] = (H >> (11 + 13 * B)) & 1 ? 1.0 : 0.0;
@@ -332,16 +333,23 @@ RewritePolicyModel::RewritePolicyModel(const ModelConfig &Cfg) : Cfg(Cfg) {
   Theta[fixW()] = Cfg.FixSkillInit;
 }
 
-bool RewritePolicyModel::familyFires(const Function &Src, Action A) const {
+// FNV-1a over (model identity, function text, action): the prefix covers
+// the first two, familyFires() mixes in the action.
+uint64_t
+RewritePolicyModel::familyGatePrefix(const std::string &SrcText) const {
+  uint64_t H = 0xcbf29ce484222325ULL ^ (Cfg.InitSeed * 0x9E3779B9ULL);
+  for (char C : SrcText)
+    H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
+  return H;
+}
+
+bool RewritePolicyModel::familyFires(uint64_t GatePrefix, Action A) const {
   assert(isOptAction(A) && "capacity gate applies to rewrite families only");
   bool Emergent = A == Action::OptMem2Reg || A == Action::OptSimplifyCFG;
   unsigned Pct = Emergent ? Cfg.EmergentReliabilityPct
                           : Cfg.CoreReliabilityPct;
-  // FNV-1a over (function text, action, model identity).
-  uint64_t H = 0xcbf29ce484222325ULL ^ (Cfg.InitSeed * 0x9E3779B9ULL);
-  for (char C : printFunction(Src))
-    H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
-  H = (H ^ (static_cast<uint64_t>(A) + 0x51ED2701)) * 0x100000001b3ULL;
+  uint64_t H = (GatePrefix ^ (static_cast<uint64_t>(A) + 0x51ED2701)) *
+               0x100000001b3ULL;
   H ^= H >> 33;
   return H % 100 < Pct;
 }
@@ -549,8 +557,15 @@ void applyOptActionSet(const std::vector<Action> &Actions, Function &F) {
 Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
                                         RNG &R, bool Greedy,
                                         double Temperature) const {
+  return generate(Src, printFunction(Src), Mode, R, Greedy, Temperature);
+}
+
+Completion RewritePolicyModel::generate(const Function &Src,
+                                        const std::string &SrcText,
+                                        PromptMode Mode, RNG &R, bool Greedy,
+                                        double Temperature) const {
   Completion Out;
-  auto Phi = extractFeatures(Src);
+  auto Phi = extractFeatures(Src, SrcText);
   std::vector<double> BaseLogits = actionLogits(Phi);
 
   std::vector<Action> SyntaxCorrupts, SemanticCorrupts;
@@ -589,8 +604,9 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   // capacity gate first: selecting a family does not guarantee the model
   // can actually realize it on this prompt.
   std::vector<Action> Firing;
+  const uint64_t GatePrefix = familyGatePrefix(SrcText);
   for (Action A : OptActions)
-    if (familyFires(Src, A))
+    if (familyFires(GatePrefix, A))
       Firing.push_back(A);
   auto Clean = Src.clone(); // corruption-free transformed function
   if (!Copied && !Firing.empty())
@@ -617,7 +633,7 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   std::string AttemptIR;
   bool AttemptFormatOk = true;
   if (Copied) {
-    AttemptIR = printFunction(Src);
+    AttemptIR = SrcText;
   } else {
     AttemptIR = printFunction(*Working);
     for (Action A : SyntaxCorrupts) {
@@ -643,7 +659,7 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   if (Mode == PromptMode::Generic) {
     Out.AnswerIR = AttemptIR;
     Out.FormatOk = AttemptFormatOk;
-    applyResidualHallucination(Src, Out);
+    applyResidualHallucination(SrcText, Out);
     Out.Text = renderCompletion(Mode, Out.FormatOk, "", "", Out.AnswerIR);
     Out.TokenCount = static_cast<unsigned>(Out.Actions.size() +
                                            tokenizeIR(Out.AnswerIR).size());
@@ -669,13 +685,13 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   Out.SelfCorrected = Fixed;
   if (Fixed) {
     // The corrected answer: the clean (uncorrupted) transformed function.
-    Out.AnswerIR = Copied ? printFunction(Src) : printFunction(*Clean);
+    Out.AnswerIR = Copied ? SrcText : printFunction(*Clean);
     Out.FormatOk = true;
   } else {
     Out.AnswerIR = AttemptIR;
     Out.FormatOk = AttemptFormatOk;
   }
-  applyResidualHallucination(Src, Out);
+  applyResidualHallucination(SrcText, Out);
   Out.Text = renderCompletion(Mode, Out.FormatOk, Out.ThinkAttemptIR,
                               Out.PredictedMessage, Out.AnswerIR);
   Out.TokenCount = static_cast<unsigned>(
@@ -684,10 +700,10 @@ Completion RewritePolicyModel::generate(const Function &Src, PromptMode Mode,
   return Out;
 }
 
-void RewritePolicyModel::applyResidualHallucination(const Function &Src,
-                                                    Completion &Out) const {
+void RewritePolicyModel::applyResidualHallucination(
+    const std::string &SrcText, Completion &Out) const {
   uint64_t H = 0xcbf29ce484222325ULL ^ (Cfg.InitSeed * 0x9E3779B9ULL + 7);
-  for (char C : printFunction(Src))
+  for (char C : SrcText)
     H = (H ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
   H ^= H >> 29;
   unsigned Roll = H % 100;
@@ -706,8 +722,9 @@ void RewritePolicyModel::applyResidualHallucination(const Function &Src,
 }
 
 double RewritePolicyModel::sequenceLogProb(
-    const Function &Src, const std::vector<Action> &Seq) const {
-  auto Phi = extractFeatures(Src);
+    const Function &Src, const std::string &SrcText,
+    const std::vector<Action> &Seq) const {
+  auto Phi = extractFeatures(Src, SrcText);
   std::vector<double> BaseLogits = actionLogits(Phi);
   uint32_t Used = 0;
   double LP = 0;
@@ -722,10 +739,11 @@ double RewritePolicyModel::sequenceLogProb(
 }
 
 void RewritePolicyModel::accumulateSequenceGrad(
-    const Function &Src, const std::vector<Action> &Seq, double Scale,
+    const Function &Src, const std::string &SrcText,
+    const std::vector<Action> &Seq, double Scale,
     std::vector<double> &Grad) const {
   assert(Grad.size() == Theta.size() && "gradient buffer layout mismatch");
-  auto Phi = extractFeatures(Src);
+  auto Phi = extractFeatures(Src, SrcText);
   std::vector<double> BaseLogits = actionLogits(Phi);
   uint32_t Used = 0;
   // d log softmax_a / d logit_b = [a==b] - P_b, per step, under the same
@@ -800,11 +818,6 @@ void RewritePolicyModel::accumulateFixGrad(bool Fix, double Scale,
                                            std::vector<double> &Grad) const {
   double PFix = 1.0 / (1.0 + std::exp(-Theta[fixW()]));
   Grad[fixW()] += Scale * ((Fix ? 1.0 : 0.0) - PFix);
-}
-
-std::vector<double>
-RewritePolicyModel::actionProbs(const Function &Src) const {
-  return softmax(actionLogits(extractFeatures(Src)), 1.0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -44,8 +44,10 @@ inline constexpr unsigned NumFeatures = 14;
 /// hasMemOp, log-size, widthOver32, 4 content-hash bits]. The hash bits
 /// stand in for a transformer's fine-grained content sensitivity: they make
 /// greedy decoding vary across prompts the way a real base model's
-/// behaviour does, while remaining deterministic per input.
-std::array<double, NumFeatures> extractFeatures(const Function &F);
+/// behaviour does, while remaining deterministic per input. \p Text is
+/// the printed form of \p F (`Sample::SrcText`), which they hash.
+std::array<double, NumFeatures> extractFeatures(const Function &F,
+                                                const std::string &Text);
 
 //===--- Diagnosis head ---------------------------------------------------===//
 
@@ -129,8 +131,14 @@ public:
   std::vector<double> &params() { return Theta; }
   const std::vector<double> &params() const { return Theta; }
 
-  /// Decode a completion for \p Src. Greedy when \p Greedy (the evaluation
-  /// setting); otherwise temperature-\p Temperature sampling from \p R.
+  /// Decode a completion for \p Src, whose printed form is \p SrcText (the
+  /// prompt's `Sample::SrcText`; the model never re-prints it). Greedy when
+  /// \p Greedy (the evaluation setting); otherwise sampling from \p R at
+  /// \p Temperature.
+  Completion generate(const Function &Src, const std::string &SrcText,
+                      PromptMode Mode, RNG &R, bool Greedy,
+                      double Temperature = 1.0) const;
+  /// Same, for a caller that holds no printed form: prints \p Src once.
   Completion generate(const Function &Src, PromptMode Mode, RNG &R,
                       bool Greedy, double Temperature = 1.0) const;
 
@@ -141,12 +149,13 @@ public:
 
   /// Per-step action log-probability of \p Seq (teacher forcing), given the
   /// prompt features. Unavailable actions contribute -inf (1e9 clamp).
-  double sequenceLogProb(const Function &Src,
+  /// \p SrcText is the printed form of \p Src, as for generate().
+  double sequenceLogProb(const Function &Src, const std::string &SrcText,
                          const std::vector<Action> &Seq) const;
 
   /// Accumulate d logProb(Seq)/d Theta * Scale into \p Grad (same layout as
   /// params()).
-  void accumulateSequenceGrad(const Function &Src,
+  void accumulateSequenceGrad(const Function &Src, const std::string &SrcText,
                               const std::vector<Action> &Seq, double Scale,
                               std::vector<double> &Grad) const;
 
@@ -162,14 +171,6 @@ public:
                          std::vector<double> &Grad) const;
 
   bool actionAvailable(Action A) const;
-
-  /// Does family \p A actually fire on prompt \p Src? (Deterministic
-  /// content-hash gate implementing the capacity ceiling.)
-  bool familyFires(const Function &Src, Action A) const;
-
-  /// Action distribution at the current (greedy-relevant) state; exposed
-  /// for tests and the training-dynamics bench.
-  std::vector<double> actionProbs(const Function &Src) const;
 
 private:
   // Parameter layout in Theta:
@@ -189,7 +190,14 @@ private:
 
   std::vector<double>
   actionLogits(const std::array<double, NumFeatures> &Phi) const;
-  void applyResidualHallucination(const Function &Src, Completion &Out) const;
+  /// Does family \p A actually fire on the prompt? (Deterministic
+  /// content-hash gate implementing the capacity ceiling.) \p GatePrefix is
+  /// familyGatePrefix() of the prompt text: it does not depend on the
+  /// family, so generate() computes it once per completion.
+  uint64_t familyGatePrefix(const std::string &SrcText) const;
+  bool familyFires(uint64_t GatePrefix, Action A) const;
+  void applyResidualHallucination(const std::string &SrcText,
+                                  Completion &Out) const;
   std::array<double, 10> diagFeatures(const std::vector<Action> &A) const;
   std::vector<double> diagLogits(const std::vector<Action> &A) const;
 

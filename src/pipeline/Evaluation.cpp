@@ -39,7 +39,8 @@ void fillMetrics(SampleEval &E, const Sample &S, const Function *Out) {
 Completion greedyCompletion(const RewritePolicyModel &Model, const Sample &S,
                             PromptMode Mode) {
   RNG Unused(0);
-  return Model.generate(*S.source(), Mode, Unused, /*Greedy=*/true);
+  return Model.generate(*S.source(), S.SrcText, Mode, Unused,
+                        /*Greedy=*/true);
 }
 
 } // namespace

@@ -14,13 +14,14 @@ namespace veriopt {
 
 /// A copy that has been re-wrapped in whitespace or renumbered values must
 /// still count as a copy, or the copy penalty / CopyRate stat is evaded by
-/// cosmetic edits. Compare re-printed IR (value names included); fall back
-/// to the raw byte compare when the answer does not parse.
+/// cosmetic edits. Compare the re-printed answer (value names included)
+/// with the printed source; fall back to the raw byte compare when the
+/// answer does not parse.
 static bool isCopyOfSource(const Sample &S, const Candidate &Answer) {
   if (Answer.Text == S.SrcText)
     return true;
   const Function *F = Answer.function();
-  return F && printFunction(*F) == printFunction(*S.source());
+  return F && printFunction(*F) == S.SrcText;
 }
 
 RewardBreakdown answerReward(const Sample &S, const Completion &C,

@@ -52,7 +52,12 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
   // Phase 1: sequential generation. Each rollout draws from its own RNG,
   // derived from (Seed, Step, PromptIdx, G) — never from a shared stream —
   // so the sampled completions are a pure function of the options,
-  // independent of scoring order and thread count.
+  // independent of scoring order and thread count. The model hashes the
+  // prompt's stored text (Sample::SrcText) rather than re-printing it.
+  // Generation stays serial: every completion clones the prompt, clones
+  // share the prompt module's callee declarations (Function::clone), and a
+  // batch may hold one prompt several times, so parallel clones would race
+  // on those declarations' user lists.
   {
     TraceSpan GenSpan("grpo.generate");
     GenSpan.arg(TraceArg::ofInt("step", StepNo));
@@ -62,8 +67,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
         Rollout Ro;
         Ro.S = S;
         RNG RoR(mixSeed(mixSeed(mixSeed(Opts.Seed, StepNo), PromptIdx), G));
-        Ro.C = Model.generate(*S->source(), Opts.Mode, RoR, /*Greedy=*/false,
-                              Opts.Temperature);
+        Ro.C = Model.generate(*S->source(), S->SrcText, Opts.Mode, RoR,
+                              /*Greedy=*/false, Opts.Temperature);
         Rollouts.push_back(std::move(Ro));
       }
     }
@@ -187,7 +192,8 @@ TrainLogEntry GRPOTrainer::step(const std::vector<const Sample *> &Batch) {
     double Scale = Ro.Advantage * TokenScale *
                    static_cast<double>(Ro.C.TokenCount) /
                    std::max<size_t>(Ro.C.Actions.size(), 1);
-    Model.accumulateSequenceGrad(*Ro.S->source(), Ro.C.Actions, Scale, Grad);
+    Model.accumulateSequenceGrad(*Ro.S->source(), Ro.S->SrcText, Ro.C.Actions,
+                                 Scale, Grad);
     if (Opts.Mode == PromptMode::Augmented) {
       Model.accumulateDiagGrad(Ro.C.Actions, Ro.C.PredictedDiagClass, Scale,
                                Grad);
@@ -294,7 +300,8 @@ double sftLoss(const RewritePolicyModel &Model,
     return 0;
   double Loss = 0;
   for (const SFTExample &Ex : Data) {
-    Loss -= Model.sequenceLogProb(*Ex.S->source(), Ex.TargetActions);
+    Loss -= Model.sequenceLogProb(*Ex.S->source(), Ex.S->SrcText,
+                                  Ex.TargetActions);
     Loss -= Model.diagLogProb(Ex.AttemptActions, Ex.DiagClassTarget);
     if (Ex.IsCorrection)
       Loss -= Model.fixLogProb(true);
@@ -319,8 +326,8 @@ void sftTrain(RewritePolicyModel &Model, const std::vector<SFTExample> &Data,
       const SFTExample &Ex = Data[Idx];
       std::vector<double> Grad(Model.numParams(), 0.0);
       double Scale = 1.0 / std::max<size_t>(Ex.TargetActions.size(), 1);
-      Model.accumulateSequenceGrad(*Ex.S->source(), Ex.TargetActions, Scale,
-                                   Grad);
+      Model.accumulateSequenceGrad(*Ex.S->source(), Ex.S->SrcText,
+                                   Ex.TargetActions, Scale, Grad);
       Model.accumulateDiagGrad(Ex.AttemptActions, Ex.DiagClassTarget, 1.0,
                                Grad);
       if (Ex.IsCorrection)

@@ -3,6 +3,7 @@
 #include "data/Dataset.h"
 
 #include "cost/CostModel.h"
+#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "support/Stats.h"
 #include "verify/AliveLite.h"
@@ -101,8 +102,27 @@ TEST(Dataset, ReferencePassActuallyOptimizes) {
 TEST(Dataset, TracesNonEmptyForChangedSamples) {
   auto DS = buildDataset(smallOpts());
   for (const auto &S : DS.Train)
-    if (S.SrcText != S.RefText)
+    if (S.SrcText != S.RefText) {
       EXPECT_FALSE(S.RefTrace.empty());
+    }
+}
+
+// The policy, the GRPO trainer and the copy reward read Sample::SrcText
+// instead of re-printing the prompt, so it must be exactly the printed
+// source. Checked on train_mini's default and --tiny corpora.
+TEST(Dataset, SrcTextIsThePrintedSource) {
+  for (bool Tiny : {false, true}) {
+    DatasetOptions Opts;
+    Opts.TrainCount = Tiny ? 8 : 30;
+    Opts.ValidCount = Tiny ? 6 : 24;
+    Opts.Seed = 123;
+    auto DS = buildDataset(Opts);
+    ASSERT_EQ(DS.Train.size() + DS.Valid.size(),
+              Opts.TrainCount + Opts.ValidCount);
+    for (const std::vector<Sample> *Split : {&DS.Train, &DS.Valid})
+      for (const Sample &S : *Split)
+        EXPECT_EQ(S.SrcText, printFunction(*S.source())) << S.Name;
+  }
 }
 
 TEST(Dataset, CSourceProvenanceAttached) {

@@ -119,9 +119,10 @@ TEST_P(PipelineSoundness, OptimizedCodeRefinesSource) {
       auto TR = interpret(*Opt, Args);
       ASSERT_EQ(TR.St, ExecResult::Ok)
           << "optimized code faults where source is defined";
-      if (!SR.IsVoid && !TR.RetPoison)
+      if (!SR.IsVoid && !TR.RetPoison) {
         EXPECT_EQ(SR.RetVal.zext(), TR.RetVal.zext())
             << "seed " << Seed << " trial " << Trial;
+      }
     }
   }
 }

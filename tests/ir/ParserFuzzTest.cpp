@@ -81,8 +81,9 @@ TEST(ParserFuzz, PureNoise) {
       Noise.push_back(static_cast<char>(R.below(256)));
     auto M = parseModule(Noise);
     // Virtually certain to fail; must not crash either way.
-    if (!M.hasValue())
+    if (!M.hasValue()) {
       EXPECT_FALSE(M.error().Message.empty());
+    }
   }
 }
 

@@ -198,8 +198,9 @@ TEST(Parser, RejectsMalformedInput) {
   for (const char *Src : Cases) {
     auto M = parseModule(Src);
     EXPECT_FALSE(M.hasValue()) << "accepted bad input:\n" << Src;
-    if (!M.hasValue())
+    if (!M.hasValue()) {
       EXPECT_FALSE(M.error().Message.empty());
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "data/Dataset.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "verify/AliveLite.h"
 
 #include <gtest/gtest.h>
@@ -152,11 +153,12 @@ TEST(Policy, KnowledgeMaskLimitsActions) {
 
 TEST(Policy, SequenceLogProbMatchesGeneration) {
   auto M = parseOk(SimpleSrc);
+  const Function &F = *M->getMainFunction();
+  const std::string Text = printFunction(F);
   RewritePolicyModel Model(presetQwen3B());
   RNG R(17);
-  auto C = Model.generate(*M->getMainFunction(), PromptMode::Generic, R,
-                          false);
-  double LP = Model.sequenceLogProb(*M->getMainFunction(), C.Actions);
+  auto C = Model.generate(F, Text, PromptMode::Generic, R, false);
+  double LP = Model.sequenceLogProb(F, Text, C.Actions);
   // Generic completions have only action log-probs.
   EXPECT_NEAR(LP, C.LogProb, 1e-9);
 }
@@ -165,20 +167,21 @@ TEST(Policy, GradChecksSequenceHead) {
   // Finite-difference check of d logProb / d theta on a random coordinate.
   auto M = parseOk(SimpleSrc);
   Function *F = M->getMainFunction();
+  const std::string Text = printFunction(*F);
   RewritePolicyModel Model(presetQwen3B());
   std::vector<Action> Seq = {Action::OptMemory, Action::OptAlgebraic,
                              Action::Stop};
   std::vector<double> Grad(Model.numParams(), 0.0);
-  Model.accumulateSequenceGrad(*F, Seq, 1.0, Grad);
+  Model.accumulateSequenceGrad(*F, Text, Seq, 1.0, Grad);
   RNG R(8);
   for (int Trial = 0; Trial < 10; ++Trial) {
     unsigned K = static_cast<unsigned>(R.below(NumActions * NumFeatures));
     double Eps = 1e-5;
     double Orig = Model.params()[K];
     Model.params()[K] = Orig + Eps;
-    double Up = Model.sequenceLogProb(*F, Seq);
+    double Up = Model.sequenceLogProb(*F, Text, Seq);
     Model.params()[K] = Orig - Eps;
-    double Down = Model.sequenceLogProb(*F, Seq);
+    double Down = Model.sequenceLogProb(*F, Text, Seq);
     Model.params()[K] = Orig;
     EXPECT_NEAR(Grad[K], (Up - Down) / (2 * Eps), 1e-4) << "coord " << K;
   }

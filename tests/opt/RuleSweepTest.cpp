@@ -50,8 +50,9 @@ protected:
       if (A.St != ExecResult::Ok || A.RetPoison)
         continue;
       EXPECT_EQ(B.St, ExecResult::Ok);
-      if (B.St == ExecResult::Ok && !B.RetPoison)
+      if (B.St == ExecResult::Ok && !B.RetPoison) {
         EXPECT_EQ(A.RetVal, B.RetVal) << printFunction(*Opt);
+      }
     }
     return printFunction(*Opt);
   }

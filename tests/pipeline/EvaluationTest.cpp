@@ -39,8 +39,9 @@ TEST(Evaluation, PerSampleMetricsAreConsistent) {
       EXPECT_EQ(S.SizeOut, S.SizeO0);
     }
     // Only verified outputs may differ from -O0.
-    if (S.Status != VerifyStatus::Equivalent)
+    if (S.Status != VerifyStatus::Equivalent) {
       EXPECT_TRUE(S.UsedFallback);
+    }
   }
 }
 

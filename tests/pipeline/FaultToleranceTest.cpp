@@ -397,8 +397,9 @@ TEST(FaultTolerance, IoFaultStormPreservesTrajectory) {
   expectIdenticalRuns(Plain, Stormy);
   // Degradation (if the storm tripped the store) is visible, typed state —
   // not silence, not an abort.
-  if (Store->degraded())
+  if (Store->degraded()) {
     EXPECT_FALSE(Store->stats().DegradedReason.empty());
+  }
 
   std::remove(Ckpt.c_str());
   std::remove(Journal.c_str());

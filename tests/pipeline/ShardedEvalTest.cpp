@@ -202,8 +202,9 @@ TEST(ShardedEval, MergeToleratesInconclusiveHeavyShard) {
   EXPECT_TRUE(std::isfinite(R.Latency.GeoRatio));
   // Every inconclusive sample must have kept the -O0 fallback.
   for (const SampleEval &E : R.PerSample)
-    if (E.Status != VerifyStatus::Equivalent)
+    if (E.Status != VerifyStatus::Equivalent) {
       EXPECT_TRUE(E.UsedFallback);
+    }
 
   // Fault decisions are pure (seed, site, key) hashes, so the faulted run
   // is itself deterministic across shard counts.

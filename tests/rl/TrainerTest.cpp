@@ -409,7 +409,7 @@ TEST(Trainer, SFTRaisesOracleSequenceProbability) {
   RewritePolicyModel Model(presetQwen3B());
   const Sample &S = DS.Train.front();
   auto Target = oracleActions(S.RefTrace, Model);
-  double Before = Model.sequenceLogProb(*S.source(), Target);
+  double Before = Model.sequenceLogProb(*S.source(), S.SrcText, Target);
   std::vector<SFTExample> Data;
   SFTExample Ex;
   Ex.S = &S;
@@ -418,7 +418,7 @@ TEST(Trainer, SFTRaisesOracleSequenceProbability) {
   SFTOptions Opts;
   Opts.Epochs = 10;
   sftTrain(Model, Data, Opts);
-  double After = Model.sequenceLogProb(*S.source(), Target);
+  double After = Model.sequenceLogProb(*S.source(), S.SrcText, Target);
   EXPECT_GT(After, Before);
 }
 

@@ -100,8 +100,9 @@ TEST(BVExpr, EvaluateMatchesAPIntSemantics) {
     EXPECT_EQ(C.evaluate(C.ashr(X, Y), M), XV.ashr(YV));
     if (!YV.isZero()) {
       EXPECT_EQ(C.evaluate(C.udiv(X, Y), M), XV.udiv(YV));
-      if (!(XV.isSignedMin() && YV.isAllOnes()))
+      if (!(XV.isSignedMin() && YV.isAllOnes())) {
         EXPECT_EQ(C.evaluate(C.sdiv(X, Y), M), XV.sdiv(YV));
+      }
     }
     EXPECT_EQ(C.evaluate(C.slt(X, Y), M).isOne(), XV.slt(YV));
   }

@@ -15,11 +15,6 @@ void expectValid(BVContext &C, const BVExpr *Prop, const char *What) {
   EXPECT_EQ(R.St, SmtCheck::Unsat) << What;
 }
 
-void expectSatisfiable(BVContext &C, const BVExpr *Prop, const char *What) {
-  auto R = checkSat(C, Prop);
-  EXPECT_EQ(R.St, SmtCheck::Sat) << What;
-}
-
 class AlgebraicIdentities : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(AlgebraicIdentities, HoldAtAllWidths) {

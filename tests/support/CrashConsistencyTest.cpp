@@ -253,10 +253,11 @@ TEST_F(CrashConsistency, AtomicWriteOfFreshFileIsCompleteOrAbsent) {
 
   for (const DiskState &D : crashStates(SimFs{}, Rec.ops())) {
     auto It = D.Files.find(P);
-    if (It != D.Files.end())
+    if (It != D.Files.end()) {
       EXPECT_EQ(It->second, New)
           << D.Label << ": a visible destination must be the full payload "
           << "(renamed-but-torn means the fsync-before-rename was skipped)";
+    }
   }
 }
 

@@ -67,11 +67,12 @@ TEST_P(EncoderDifferential, MatchesInterpreter) {
     // when UB precedes any call.
     bool HasCalls = !Enc.Calls.empty();
     if (Concrete.St == ExecResult::UndefinedBehavior) {
-      if (!HasCalls)
+      if (!HasCalls) {
         EXPECT_TRUE(SymUB)
             << "interpreter hit UB (" << Concrete.Reason
             << ") but the encoding claims defined, seed " << Seed << "\n"
             << printFunction(*F);
+      }
       continue;
     }
     if (HasCalls)
@@ -87,11 +88,12 @@ TEST_P(EncoderDifferential, MatchesInterpreter) {
     ASSERT_NE(Ret, nullptr);
     EXPECT_EQ(Ctx.evaluate(Poison, Model).isOne(), Concrete.RetPoison)
         << "poison flag mismatch, seed " << Seed;
-    if (!Concrete.RetPoison)
+    if (!Concrete.RetPoison) {
       EXPECT_EQ(Ctx.evaluate(Ret, Model), Concrete.RetVal)
           << "return value mismatch, seed " << Seed << " trial " << Trial
           << "\n"
           << printFunction(*F);
+    }
   }
 }
 
@@ -166,11 +168,12 @@ TEST_P(MutationSoundness, NoFalseEquivalence) {
   }
 
   auto VR = verifyRefinement(*Src, *Mutant);
-  if (ConcretelyDifferent)
+  if (ConcretelyDifferent) {
     EXPECT_NE(VR.Status, VerifyStatus::Equivalent)
         << "FALSE EQUIVALENCE on seed " << Seed << "\nsource:\n"
         << printFunction(*Src) << "mutant:\n"
         << printFunction(*Mutant);
+  }
   // Either way, the verifier must return *something* coherent.
   EXPECT_NE(VR.Diagnostic, "");
 }
