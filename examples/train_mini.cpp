@@ -35,11 +35,16 @@
 //                          artifact this flag exists to compare survives.
 //   --chaos-io-seed <s>    seed for the fault pattern (default 0xFA11)
 //
+// Numeric values are decimal, 0x-hex or 0-octal; anything else (a sign, a
+// trailing character, an out-of-range value, a zero --eval-threads or
+// --stream-trace) is a usage error (exit 2).
+//
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/Evaluation.h"
 #include "pipeline/Pipeline.h"
 #include "store/VerdictStore.h"
+#include "support/CommandLine.h"
 #include "support/FaultInjector.h"
 #include "support/IoEnv.h"
 #include "support/ThreadPool.h"
@@ -47,7 +52,6 @@
 #include "trace/Trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -59,38 +63,43 @@ int main(int argc, char **argv) {
   unsigned EvalShards = 1, EvalThreads = 1;
   size_t StreamEvery = 0;
   unsigned CheckpointEvery = 0;
-  long ChaosIoPct = 0;
+  unsigned ChaosIoPct = 0;
   uint64_t ChaosIoSeed = 0xFA11;
   std::string TracePath, ChromePath, StorePath, CheckpointPath;
+  auto valArg = [&](int &I, const char *Name, const char **Out) {
+    if (std::strcmp(argv[I], Name) != 0 || I + 1 >= argc)
+      return false;
+    *Out = argv[++I];
+    return true;
+  };
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--tiny") == 0) {
+    const char *V = nullptr;
+    bool Ok = true;
+    if (std::strcmp(argv[I], "--tiny") == 0)
       Tiny = true;
-    } else if (std::strcmp(argv[I], "--trace") == 0 && I + 1 < argc) {
-      TracePath = argv[++I];
-    } else if (std::strcmp(argv[I], "--chrome-trace") == 0 && I + 1 < argc) {
-      ChromePath = argv[++I];
-    } else if (std::strcmp(argv[I], "--eval-shards") == 0 && I + 1 < argc) {
-      EvalShards = static_cast<unsigned>(std::atoi(argv[++I]));
-    } else if (std::strcmp(argv[I], "--eval-threads") == 0 && I + 1 < argc) {
-      EvalThreads = std::max(1, std::atoi(argv[++I]));
-    } else if (std::strcmp(argv[I], "--stream-trace") == 0 && I + 1 < argc) {
-      StreamEvery = static_cast<size_t>(std::max(1, std::atoi(argv[++I])));
-    } else if (std::strcmp(argv[I], "--verdict-store") == 0 && I + 1 < argc) {
-      StorePath = argv[++I];
-    } else if (std::strcmp(argv[I], "--checkpoint") == 0 && I + 1 < argc) {
-      CheckpointPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--checkpoint-every") == 0 &&
-               I + 1 < argc) {
-      CheckpointEvery = static_cast<unsigned>(std::max(0, std::atoi(argv[++I])));
-    } else if (std::strcmp(argv[I], "--chaos-io") == 0 && I + 1 < argc) {
-      ChaosIoPct = std::strtol(argv[++I], nullptr, 10);
-      if (ChaosIoPct < 0 || ChaosIoPct > 100) {
-        std::fprintf(stderr, "error: --chaos-io wants a percentage 0..100\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[I], "--chaos-io-seed") == 0 && I + 1 < argc) {
-      ChaosIoSeed = std::strtoull(argv[++I], nullptr, 0);
-    } else {
+    else if (valArg(I, "--trace", &V))
+      TracePath = V;
+    else if (valArg(I, "--chrome-trace", &V))
+      ChromePath = V;
+    else if (valArg(I, "--eval-shards", &V))
+      Ok = parseUnsignedArg(V, EvalShards);
+    else if (valArg(I, "--eval-threads", &V))
+      Ok = parseUnsignedArg(V, EvalThreads, 1);
+    else if (valArg(I, "--stream-trace", &V))
+      Ok = parseUnsignedArg(V, StreamEvery, 1);
+    else if (valArg(I, "--verdict-store", &V))
+      StorePath = V;
+    else if (valArg(I, "--checkpoint", &V))
+      CheckpointPath = V;
+    else if (valArg(I, "--checkpoint-every", &V))
+      Ok = parseUnsignedArg(V, CheckpointEvery);
+    else if (valArg(I, "--chaos-io", &V))
+      Ok = parseUnsignedArg(V, ChaosIoPct, 0, 100);
+    else if (valArg(I, "--chaos-io-seed", &V))
+      Ok = parseUnsignedArg(V, ChaosIoSeed);
+    else
+      Ok = false;
+    if (!Ok) {
       std::fprintf(stderr,
                    "usage: %s [--tiny] [--trace out.jsonl] "
                    "[--chrome-trace out.json] [--eval-shards n] "
@@ -132,7 +141,7 @@ int main(int argc, char **argv) {
     IoFaults->exemptSuffix(".jsonl");
     IoFaults->exemptSuffix(".stream");
     IoInstall = std::make_unique<ScopedIoEnv>(IoFaults.get());
-    std::fprintf(stderr, "chaos-io: armed at %ld%% (seed 0x%llx)\n",
+    std::fprintf(stderr, "chaos-io: armed at %u%% (seed 0x%llx)\n",
                  ChaosIoPct,
                  static_cast<unsigned long long>(ChaosIoSeed));
   }

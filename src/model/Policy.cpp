@@ -602,30 +602,36 @@ Completion RewritePolicyModel::generate(const Function &Src,
   // instcombine, simplifycfg, dce), so action order cannot leave cascading
   // opportunities on the table. Families are filtered through the
   // capacity gate first: selecting a family does not guarantee the model
-  // can actually realize it on this prompt.
-  std::vector<Action> Firing;
-  const uint64_t GatePrefix = familyGatePrefix(SrcText);
-  for (Action A : OptActions)
-    if (familyFires(GatePrefix, A))
-      Firing.push_back(A);
-  auto Clean = Src.clone(); // corruption-free transformed function
-  if (!Copied && !Firing.empty())
-    applyOptActionSet(Firing, *Clean);
-  auto Working = Clean->clone(); // + semantic corruption
-  for (Action A : SemanticCorrupts) {
-    switch (A) {
-    case Action::CorruptConstant:
-      perturbConstant(*Working);
-      break;
-    case Action::CorruptSwapSub:
-      swapNonCommutative(*Working);
-      break;
-    case Action::CorruptFlipPred:
-      flipPredicate(*Working);
-      break;
-    default:
-      dropStore(*Working);
-      break;
+  // can actually realize it on this prompt. A Copy answer is the prompt
+  // text itself and reads no clone; the semantic corruptions get a second
+  // clone only when there are any.
+  std::unique_ptr<Function> Clean, Corrupted;
+  if (!Copied) {
+    std::vector<Action> Firing;
+    const uint64_t GatePrefix = familyGatePrefix(SrcText);
+    for (Action A : OptActions)
+      if (familyFires(GatePrefix, A))
+        Firing.push_back(A);
+    Clean = Src.clone(); // corruption-free transformed function
+    if (!Firing.empty())
+      applyOptActionSet(Firing, *Clean);
+    if (!SemanticCorrupts.empty())
+      Corrupted = Clean->clone();
+    for (Action A : SemanticCorrupts) {
+      switch (A) {
+      case Action::CorruptConstant:
+        perturbConstant(*Corrupted);
+        break;
+      case Action::CorruptSwapSub:
+        swapNonCommutative(*Corrupted);
+        break;
+      case Action::CorruptFlipPred:
+        flipPredicate(*Corrupted);
+        break;
+      default:
+        dropStore(*Corrupted);
+        break;
+      }
     }
   }
 
@@ -635,7 +641,7 @@ Completion RewritePolicyModel::generate(const Function &Src,
   if (Copied) {
     AttemptIR = SrcText;
   } else {
-    AttemptIR = printFunction(*Working);
+    AttemptIR = printFunction(Corrupted ? *Corrupted : *Clean);
     for (Action A : SyntaxCorrupts) {
       switch (A) {
       case Action::CorruptUndefName:

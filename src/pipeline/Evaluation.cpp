@@ -9,7 +9,6 @@
 #include "trace/Metrics.h"
 #include "trace/Trace.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -394,26 +393,10 @@ EvalResult evaluateModelSharded(const RewritePolicyModel &Model,
 
 namespace {
 
-bool jsonU64(const JsonValue &O, const char *Key, uint64_t &Out) {
-  const JsonValue *V = O.get(Key);
-  // Reject negatives AND non-integers: a count field of 1.5 (bit rot,
-  // hand-edited file) must be a typed parse error, not a silent truncation.
-  if (!V || !V->isNumber() || V->number() < 0 ||
-      V->number() != std::floor(V->number()))
-    return false;
-  Out = static_cast<uint64_t>(V->number());
-  return true;
-}
-
-bool jsonDhex(const JsonValue &O, const char *Key, double &Out) {
-  const JsonValue *V = O.get(Key);
-  return V && V->isString() && parseHexDouble(V->str(), Out);
-}
-
 bool shardFromJsonObject(const JsonValue &O, EvalShard &S) {
   uint64_t Index = 0, Begin = 0, End = 0;
-  if (!jsonU64(O, "index", Index) || !jsonU64(O, "begin", Begin) ||
-      !jsonU64(O, "end", End))
+  if (!jsonCountField(O, "index", Index) ||
+      !jsonCountField(O, "begin", Begin) || !jsonCountField(O, "end", End))
     return false;
   S.Index = static_cast<unsigned>(Index);
   S.Begin = static_cast<size_t>(Begin);
@@ -514,7 +497,7 @@ bool shardResultFromJson(const std::string &Text, ShardEvalResult &R,
     return fail("missing 'taxonomy' object");
   uint64_t U = 0;
   auto taxField = [&](const char *Key, unsigned &Out) {
-    if (!jsonU64(*Tax, Key, U))
+    if (!jsonCountField(*Tax, Key, U))
       return false;
     Out = static_cast<unsigned>(U);
     return true;
@@ -536,15 +519,7 @@ bool shardResultFromJson(const std::string &Text, ShardEvalResult &R,
     const JsonValue *Status = EJ.get("status");
     if (!Status || !Status->isString())
       return fail("sample missing 'status'");
-    bool Known = false;
-    for (VerifyStatus S :
-         {VerifyStatus::Equivalent, VerifyStatus::NotEquivalent,
-          VerifyStatus::SyntaxError, VerifyStatus::Inconclusive})
-      if (Status->str() == verifyStatusName(S)) {
-        E.Status = S;
-        Known = true;
-      }
-    if (!Known)
+    if (!verifyStatusFromName(Status->str(), E.Status))
       return fail("unknown sample 'status'");
     const JsonValue *Copy = EJ.get("is_copy");
     const JsonValue *Fallback = EJ.get("used_fallback");
@@ -552,12 +527,12 @@ bool shardResultFromJson(const std::string &Text, ShardEvalResult &R,
       return fail("sample missing boolean fields");
     E.IsCopy = Copy->boolean();
     E.UsedFallback = Fallback->boolean();
-    if (!jsonDhex(EJ, "lat_o0", E.LatO0) ||
-        !jsonDhex(EJ, "lat_out", E.LatOut) ||
-        !jsonDhex(EJ, "lat_ref", E.LatRef))
+    if (!jsonHexDoubleField(EJ, "lat_o0", E.LatO0) ||
+        !jsonHexDoubleField(EJ, "lat_out", E.LatOut) ||
+        !jsonHexDoubleField(EJ, "lat_ref", E.LatRef))
       return fail("sample missing latency bit-hex fields");
     auto u32Field = [&](const char *Key, unsigned &Out) {
-      if (!jsonU64(EJ, Key, U))
+      if (!jsonCountField(EJ, Key, U))
         return false;
       Out = static_cast<unsigned>(U);
       return true;

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -65,44 +64,6 @@ Counter &flushFailuresCounter() {
 Gauge &degradedGauge() {
   static Gauge &G = MetricsRegistry::global().gauge("io.store.degraded");
   return G;
-}
-
-/// Non-negative integral JSON number (the shardResultFromJson discipline:
-/// 1.5 or -3 in a count field is a typed reject, not a truncation).
-bool jsonCount(const JsonValue &O, const char *Key, uint64_t &Out) {
-  const JsonValue *V = O.get(Key);
-  if (!V || !V->isNumber() || V->number() < 0 ||
-      V->number() != std::floor(V->number()))
-    return false;
-  Out = static_cast<uint64_t>(V->number());
-  return true;
-}
-
-bool jsonHex64(const JsonValue &O, const char *Key, uint64_t &Out) {
-  const JsonValue *V = O.get(Key);
-  return V && V->isString() && parseHex64(V->str(), Out);
-}
-
-bool statusFromName(const std::string &Name, VerifyStatus &Out) {
-  for (int I = 0; I <= static_cast<int>(VerifyStatus::Inconclusive); ++I) {
-    auto S = static_cast<VerifyStatus>(I);
-    if (Name == verifyStatusName(S)) {
-      Out = S;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool diagFromName(const std::string &Name, DiagKind &Out) {
-  for (int I = 0; I <= static_cast<int>(DiagKind::ResourceExhausted); ++I) {
-    auto K = static_cast<DiagKind>(I);
-    if (Name == diagKindName(K)) {
-      Out = K;
-      return true;
-    }
-  }
-  return false;
 }
 
 uint64_t fileSize(const std::string &Path) {
@@ -216,8 +177,8 @@ bool VerdictStore::decodeRecord(const std::string &Line, std::string &Key,
     return false;
 
   VerifyResult Out;
-  if (!statusFromName(Status->str(), Out.Status) ||
-      !diagFromName(Diag->str(), Out.Kind))
+  if (!verifyStatusFromName(Status->str(), Out.Status) ||
+      !diagKindFromName(Diag->str(), Out.Kind))
     return false;
   Out.Diagnostic = Text->str();
   for (const JsonValue &BJ : Cex->array()) {
@@ -225,8 +186,8 @@ bool VerdictStore::decodeRecord(const std::string &Line, std::string &Key,
       return false;
     const JsonValue *N = BJ.get("n");
     uint64_t W = 0, Bits = 0;
-    if (!N || !N->isString() || !jsonCount(BJ, "w", W) || W < 1 || W > 64 ||
-        !jsonHex64(BJ, "v", Bits))
+    if (!N || !N->isString() || !jsonCountField(BJ, "w", W) || W < 1 ||
+        W > 64 || !jsonHex64Field(BJ, "v", Bits))
       return false;
     // Reject bits above the declared width: APInt64's invariant, and a
     // cheap extra integrity check beyond the CRC.
@@ -240,9 +201,9 @@ bool VerdictStore::decodeRecord(const std::string &Line, std::string &Key,
   Out.BoundedOnly = Bounded->boolean();
   Out.FoundByFalsification = Falsified->boolean();
   uint64_t Tier = 0;
-  if (!jsonHex64(V, "conflicts", Out.SolverConflicts) ||
-      !jsonHex64(V, "fuel", Out.FuelSpent) || !jsonCount(V, "tier", Tier) ||
-      Tier > 0xFFFFFFFFull)
+  if (!jsonHex64Field(V, "conflicts", Out.SolverConflicts) ||
+      !jsonHex64Field(V, "fuel", Out.FuelSpent) ||
+      !jsonCountField(V, "tier", Tier) || Tier > 0xFFFFFFFFull)
     return false;
   Out.RetryTier = static_cast<unsigned>(Tier);
 

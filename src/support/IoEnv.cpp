@@ -59,24 +59,30 @@ IoEnv *IoEnv::install(IoEnv *E) {
 
 //===--- FaultyIoEnv -----------------------------------------------------------//
 
-bool FaultyIoEnv::exempt(const std::string &Path) {
-  // Exemptions name the *logical* destination, but writeFileAtomic stages
-  // through "<path>.tmp.<pid>.<seq>" — strip that decoration so exempting
-  // ".jsonl" also spares the temporary its payload is written to.
-  std::string P = Path;
-  size_t Tmp = P.rfind(".tmp.");
-  if (Tmp != std::string::npos) {
-    bool Decorated = true;
-    unsigned Dots = 0;
-    for (size_t I = Tmp + 5; I < P.size(); ++I) {
-      if (P[I] == '.')
-        ++Dots;
-      else if (P[I] < '0' || P[I] > '9')
-        Decorated = false;
-    }
-    if (Decorated && Dots == 1)
-      P.resize(Tmp);
+namespace {
+
+/// \p Path without writeFileAtomic's "<path>.tmp.<pid>.<seq>" staging
+/// suffix (AtomicFile.cpp). The pid and the process-wide sequence number
+/// differ between runs, so exemptions and fault keys both use the
+/// destination the caller named.
+std::string logicalPath(const std::string &Path) {
+  size_t Tmp = Path.rfind(".tmp.");
+  if (Tmp == std::string::npos)
+    return Path;
+  unsigned Dots = 0;
+  for (size_t I = Tmp + 5; I < Path.size(); ++I) {
+    if (Path[I] == '.')
+      ++Dots;
+    else if (Path[I] < '0' || Path[I] > '9')
+      return Path;
   }
+  return Dots == 1 ? Path.substr(0, Tmp) : Path;
+}
+
+} // namespace
+
+bool FaultyIoEnv::exempt(const std::string &Path) {
+  const std::string P = logicalPath(Path);
   std::lock_guard<std::mutex> L(M);
   for (const std::string &S : Exempt)
     if (P.size() >= S.size() &&
@@ -86,15 +92,16 @@ bool FaultyIoEnv::exempt(const std::string &Path) {
 }
 
 uint64_t FaultyIoEnv::nextKey(const std::string &Path) {
+  const std::string P = logicalPath(Path);
   uint64_t Ordinal;
   {
     std::lock_guard<std::mutex> L(M);
-    Ordinal = PathOps[Path]++;
+    Ordinal = PathOps[P]++;
   }
   // SplitMix64-style mix of (path hash, ordinal): the Nth operation on a
   // given path always decides the same way for a given seed, independent
-  // of what other paths (or threads) are doing.
-  uint64_t Z = FaultInjector::hashKey(Path) + 0x9e3779b97f4a7c15ULL * (Ordinal + 1);
+  // of what other paths (or threads, or processes) are doing.
+  uint64_t Z = FaultInjector::hashKey(P) + 0x9e3779b97f4a7c15ULL * (Ordinal + 1);
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
   return Z ^ (Z >> 31);

@@ -17,7 +17,9 @@
 //    (support/FaultInjector.h). An injection decision is a pure hash of
 //    (seed, site, path, per-path operation ordinal) — never a counter
 //    shared across paths, never a clock — so the same seed fails the same
-//    operations on the same files regardless of thread scheduling. Errno
+//    operations on the same files regardless of thread scheduling or of
+//    which process runs them. The path is the logical one: a
+//    writeFileAtomic staging file counts as its destination. Errno
 //    shaping picks deterministically among ENOSPC / EIO / EDQUOT; short
 //    writes really write a prefix (>= 1 byte, so retry loops always make
 //    progress) and are how torn appends are simulated. Only descriptors
@@ -121,8 +123,8 @@ public:
 
 private:
   bool exempt(const std::string &Path);
-  /// Next deterministic key for \p Path: hash(path) mixed with that path's
-  /// operation ordinal (how many env calls have named it so far).
+  /// Next deterministic key for \p Path: hash(logical path) mixed with that
+  /// path's operation ordinal (how many env calls have named it so far).
   uint64_t nextKey(const std::string &Path);
   /// Deterministic errno from the fault classes storage really throws.
   static int shapeErrno(uint64_t Key);

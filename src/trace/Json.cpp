@@ -108,6 +108,25 @@ bool parseHexDouble(const std::string &S, double &Out) {
   return true;
 }
 
+bool jsonCountField(const JsonValue &O, const char *Key, uint64_t &Out) {
+  const JsonValue *V = O.get(Key);
+  if (!V || !V->isNumber() || V->number() < 0 ||
+      V->number() != std::floor(V->number()))
+    return false;
+  Out = static_cast<uint64_t>(V->number());
+  return true;
+}
+
+bool jsonHex64Field(const JsonValue &O, const char *Key, uint64_t &Out) {
+  const JsonValue *V = O.get(Key);
+  return V && V->isString() && parseHex64(V->str(), Out);
+}
+
+bool jsonHexDoubleField(const JsonValue &O, const char *Key, double &Out) {
+  const JsonValue *V = O.get(Key);
+  return V && V->isString() && parseHexDouble(V->str(), Out);
+}
+
 const JsonValue *JsonValue::get(const std::string &Key) const {
   if (K != Kind::Object)
     return nullptr;

@@ -77,6 +77,18 @@ public:
 /// in \p Err) on malformed input or trailing garbage.
 bool parseJson(const std::string &Text, JsonValue &Out, std::string *Err);
 
+/// Strict member readers for the formats that must round-trip exactly
+/// (shard results, the verdict journal). Each returns false when \p Key is
+/// absent or has the wrong shape; nothing is truncated or defaulted.
+///
+/// A non-negative integral number: 1.5 or -3 in a count field (bit rot, a
+/// hand-edited file) is a typed reject, not a silent truncation.
+bool jsonCountField(const JsonValue &O, const char *Key, uint64_t &Out);
+/// A hex64() string.
+bool jsonHex64Field(const JsonValue &O, const char *Key, uint64_t &Out);
+/// A hexDouble() string.
+bool jsonHexDoubleField(const JsonValue &O, const char *Key, double &Out);
+
 } // namespace veriopt
 
 #endif // VERIOPT_TRACE_JSON_H

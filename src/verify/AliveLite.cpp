@@ -52,6 +52,28 @@ const char *verifyStatusName(VerifyStatus S) {
   return "unknown";
 }
 
+bool diagKindFromName(const std::string &Name, DiagKind &Out) {
+  for (int I = 0; I <= static_cast<int>(DiagKind::ResourceExhausted); ++I) {
+    auto K = static_cast<DiagKind>(I);
+    if (Name == diagKindName(K)) {
+      Out = K;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool verifyStatusFromName(const std::string &Name, VerifyStatus &Out) {
+  for (int I = 0; I <= static_cast<int>(VerifyStatus::Inconclusive); ++I) {
+    auto S = static_cast<VerifyStatus>(I);
+    if (Name == verifyStatusName(S)) {
+      Out = S;
+      return true;
+    }
+  }
+  return false;
+}
+
 Candidate::Candidate(std::string Text, bool Parse) : Text(std::move(Text)) {
   if (Parse) {
     auto Parsed = parseModule(this->Text);

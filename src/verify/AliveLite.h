@@ -57,6 +57,9 @@ enum class DiagKind {
 
 const char *diagKindName(DiagKind K);
 const char *verifyStatusName(VerifyStatus S);
+/// Inverses of the two names above; false for an unknown name.
+bool diagKindFromName(const std::string &Name, DiagKind &Out);
+bool verifyStatusFromName(const std::string &Name, VerifyStatus &Out);
 
 struct VerifyOptions {
   unsigned MaxPaths = 128;          ///< per function

@@ -7,8 +7,15 @@
 //  - crashed / corrupt-result workers are retried then quarantined with
 //    per-attempt diagnostics, and the healthy-subset merge matches the
 //    oracle restricted to the healthy shards;
-//  - flaky workers (crash on attempt 1 only) are salvaged by retry;
+//  - hung workers are SIGKILLed at the deadline and quarantined as
+//    [runtime]; a resume re-runs only the quarantined shard;
+//  - flaky workers (crash on attempt 1 only) are salvaged by retry, and
+//    so are workers whose durable writes fail (--chaos-io);
 //  - valid pre-existing result files are reused on resume;
+//  - a fleet sharing one --verdict-store journal warms it across runs, and
+//    an in-process evaluation replays it bit-identically;
+//  - malformed worker flags (unknown, or a number with trailing junk) are
+//    [logic] failures, and numeric flags read hex and decimal alike;
 //  - the backoff schedule is a pure, capped function of
 //    (seed, shard, attempt).
 //
@@ -16,7 +23,9 @@
 
 #include "pipeline/EvalDriver.h"
 
+#include "store/VerdictStore.h"
 #include "support/AtomicFile.h"
+#include "support/Subprocess.h"
 
 #include "Golden.h"
 
@@ -24,8 +33,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/stat.h>
@@ -135,6 +146,25 @@ struct DriverTest : ::testing::Test {
                                          VerifyOptions(), P[I]));
     return mergeShardResults(Model.config().Name, std::move(Shards));
   }
+
+  /// Evaluate every shard in-process through the journal at \p Journal,
+  /// require the serial oracle's result, and return the store's stats.
+  VerdictStore::Stats replayJournal(const std::string &Journal) {
+    std::string Err;
+    std::unique_ptr<VerdictStore> Store = VerdictStore::open(Journal, &Err);
+    EXPECT_TRUE(Store) << Err;
+    if (!Store)
+      return {};
+    EvalOptions EO;
+    EO.Shards = NumShards;
+    EO.VerdictTier = Store.get();
+    EvalResult Warm = evaluateModelSharded(Model, Valid, PromptMode::Generic,
+                                           VerifyOptions(), EO);
+    EXPECT_EQ(countResultDivergence(
+                  evaluateModel(Model, Valid, PromptMode::Generic), Warm),
+              0u);
+    return Store->stats();
+  }
 };
 
 //===--- Differential: all healthy --------------------------------------------//
@@ -204,6 +234,47 @@ TEST_F(DriverTest, CorruptResultFileIsDetectedNotMerged) {
             0u);
 }
 
+//===--- Hang -> deadline SIGKILL -> quarantine -> resume ----------------------//
+
+TEST_F(DriverTest, HangingShardIsKilledQuarantinedThenResumed) {
+  // The hung worker burns one deadline per attempt; a healthy worker of
+  // this corpus finishes in well under a tenth of it.
+  EvalDriverOptions O = opts({"--inject-hang-shard", "2"});
+  O.WorkerDeadlineMs = 5000;
+  EvalDriverReport R;
+  std::string Err;
+  ASSERT_TRUE(runEvalDriver(O, Model.config().Name, R, &Err)) << Err;
+  ASSERT_EQ(R.Quarantined.size(), 1u);
+  const QuarantinedShard &Q = R.Quarantined[0];
+  EXPECT_EQ(Q.Shard.Index, 2u);
+  ASSERT_EQ(Q.Failures.size(), 2u); // MaxAttempts
+  for (const ShardAttemptFailure &F : Q.Failures) {
+    EXPECT_EQ(F.Class, FailureClass::Runtime) << failureClassName(F.Class);
+    EXPECT_NE(F.Reason.find("deadline exceeded"), std::string::npos)
+        << F.Reason;
+    EXPECT_NE(F.StderrTail.find("injected hang"), std::string::npos);
+  }
+  EXPECT_NE(renderDriverReport(R).find("[runtime]"), std::string::npos);
+  EXPECT_EQ(R.HealthyShardIndices, (std::vector<unsigned>{0, 1, 3}));
+  EXPECT_EQ(countResultDivergence(oracleSubset(R.HealthyShardIndices),
+                                  R.Merged),
+            0u);
+
+  // Resume without injection: the healthy shards' files are reused, only
+  // the quarantined shard re-runs, and the full merge is the oracle.
+  EvalDriverReport Resumed;
+  ASSERT_TRUE(runEvalDriver(opts(), Model.config().Name, Resumed, &Err))
+      << Err;
+  EXPECT_EQ(Resumed.Reused, NumShards - 1);
+  EXPECT_EQ(Resumed.Spawned, 1u);
+  EXPECT_TRUE(Resumed.allHealthy());
+  EXPECT_EQ(countResultDivergence(
+                evaluateModel(Model, Valid, PromptMode::Generic),
+                Resumed.Merged),
+            0u);
+  Delta.expectGolden();
+}
+
 //===--- Flaky -> salvage ------------------------------------------------------//
 
 TEST_F(DriverTest, FlakyShardIsSalvagedByRetry) {
@@ -221,6 +292,28 @@ TEST_F(DriverTest, FlakyShardIsSalvagedByRetry) {
                 evaluateModel(Model, Valid, PromptMode::Generic), R.Merged),
             0u);
   Delta.expectGolden();
+}
+
+TEST_F(DriverTest, ChaosIoFleetIsSalvagedAndItsJournalReplays) {
+  // Every syscall of every worker's durable writes (the store journal, its
+  // lock, the result file) fails 8% of the time, re-seeded per attempt:
+  // retries salvage every shard, and whatever the faulty fleet journaled
+  // replays bit-identically. The schedule depends on the scratch paths, so
+  // this test pins no counters; in a few percent of schedules every flush
+  // fails and the journal holds no record at all.
+  const std::string Journal = Dir + "/verdicts.journal";
+  EvalDriverOptions O = opts({"--verdict-store", Journal, "--chaos-io", "8",
+                              "--chaos-io-seed", "0xBEEF"});
+  O.MaxAttempts = 16;
+  EvalDriverReport R;
+  std::string Err;
+  ASSERT_TRUE(runEvalDriver(O, Model.config().Name, R, &Err)) << Err;
+  EXPECT_TRUE(R.allHealthy()) << renderDriverReport(R);
+  EXPECT_EQ(countResultDivergence(
+                evaluateModel(Model, Valid, PromptMode::Generic), R.Merged),
+            0u);
+  const VerdictStore::Stats S = replayJournal(Journal);
+  EXPECT_EQ(S.Hits > 0, S.LiveAtOpen > 0);
 }
 
 //===--- Resume ----------------------------------------------------------------//
@@ -259,6 +352,32 @@ TEST_F(DriverTest, ResumeRejectsTamperedResultFile) {
   EXPECT_EQ(Second.Spawned, 1u);
   EXPECT_TRUE(Second.allHealthy());
   EXPECT_EQ(countResultDivergence(First.Merged, Second.Merged), 0u);
+}
+
+//===--- Shared verdict store --------------------------------------------------//
+
+TEST_F(DriverTest, FleetWarmsOneVerdictStoreAcrossRuns) {
+  // Two fleet runs into separate result directories (so nothing is reused)
+  // against one journal: the first warms it, the second starts warm, and
+  // both merges are the oracle.
+  const std::string Journal = Dir + "/verdicts.journal";
+  const EvalResult Oracle = evaluateModel(Model, Valid, PromptMode::Generic);
+  for (const std::string Run : {"run1", "run2"}) {
+    EvalDriverOptions O = opts({"--verdict-store", Journal});
+    O.ResultDir = Dir + "/" + Run;
+    ASSERT_EQ(::mkdir(O.ResultDir.c_str(), 0755), 0);
+    EvalDriverReport R;
+    std::string Err;
+    ASSERT_TRUE(runEvalDriver(O, Model.config().Name, R, &Err)) << Err;
+    EXPECT_TRUE(R.allHealthy()) << Run;
+    EXPECT_EQ(R.Spawned, NumShards) << Run;
+    EXPECT_EQ(countResultDivergence(Oracle, R.Merged), 0u) << Run;
+  }
+  const VerdictStore::Stats S = replayJournal(Journal);
+  EXPECT_GT(S.LiveAtOpen, 0u);
+  EXPECT_GT(S.Hits, 0u);
+  EXPECT_EQ(S.Misses, 0u); // every verdict came from the fleet's journal
+  Delta.expectGolden();
 }
 
 //===--- Failure classification ------------------------------------------------//
@@ -316,17 +435,48 @@ TEST_F(DriverTest, WorkerIoExitClassifiesAsIo) {
 }
 
 TEST_F(DriverTest, UsageErrorClassifiesAsLogic) {
-  EvalDriverOptions O = opts({"--definitely-not-a-flag"});
-  O.MaxAttempts = 1;
-  EvalDriverReport R;
-  std::string Err;
-  ASSERT_TRUE(runEvalDriver(O, Model.config().Name, R, &Err)) << Err;
-  ASSERT_EQ(R.Quarantined.size(), NumShards);
-  for (const QuarantinedShard &Q : R.Quarantined)
-    EXPECT_EQ(Q.Failures.back().Class, FailureClass::Logic)
-        << failureClassName(Q.Failures.back().Class);
-  EXPECT_NE(slurp(Dir + "/quarantine.json").find("\"class\":\"logic\""),
-            std::string::npos);
+  // An unknown flag, and a number with trailing junk: the driver's own
+  // --shard comes later on the command line, so an atoi-style reader would
+  // take "1x" as 1 and then be overridden, running the shard healthily.
+  for (std::vector<std::string> Bad :
+       {std::vector<std::string>{"--definitely-not-a-flag"},
+        std::vector<std::string>{"--shard", "1x"}}) {
+    EvalDriverOptions O = opts(Bad);
+    O.MaxAttempts = 1;
+    EvalDriverReport R;
+    std::string Err;
+    ASSERT_TRUE(runEvalDriver(O, Model.config().Name, R, &Err)) << Err;
+    ASSERT_EQ(R.Quarantined.size(), NumShards) << Bad.front();
+    for (const QuarantinedShard &Q : R.Quarantined)
+      EXPECT_EQ(Q.Failures.back().Class, FailureClass::Logic)
+          << failureClassName(Q.Failures.back().Class);
+    EXPECT_NE(slurp(Dir + "/quarantine.json").find("\"class\":\"logic\""),
+              std::string::npos);
+  }
+}
+
+TEST_F(DriverTest, WorkerReadsHexAndDecimalSeedsAlike) {
+  // 0xBEEF == 48879. A worker that read "0xBEEF" as 0 would run a
+  // different fault schedule; a worker that keys faults on its staging
+  // file's pid would differ between the two runs even with one seed.
+  opts(); // writes the manifest
+  auto runWorker = [&](const char *Seed) {
+    Subprocess P;
+    SubprocessOptions O;
+    O.Argv = {VERIOPT_WORKER_BIN, "--manifest", Dir + "/manifest.json",
+              "--shard", "0", "--out", Dir,
+              "--valid-count", std::to_string(ValidCount),
+              "--dataset-seed", std::to_string(DatasetSeed),
+              "--chaos-io", "40", "--chaos-io-seed", Seed};
+    O.DeadlineMs = 60000;
+    EXPECT_TRUE(P.spawn(O));
+    SubprocessResult R = P.wait();
+    EXPECT_EQ(R.Outcome, SubprocessOutcome::Exited) << R.describe();
+    return std::make_pair(R.ExitCode, R.StderrCapture);
+  };
+  const auto Hex = runWorker("0xBEEF"), Dec = runWorker("48879");
+  EXPECT_EQ(Hex, Dec);
+  EXPECT_NE(Hex.second.find("seed 0xbeef"), std::string::npos) << Hex.second;
 }
 
 //===--- loadValidShardResult --------------------------------------------------//

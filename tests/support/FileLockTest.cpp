@@ -2,15 +2,13 @@
 //
 // In-process semantics (shared/shared coexistence, exclusive mutual
 // exclusion, RAII release, move transfer) plus the test that actually
-// matters for a cross-process primitive: a second *process* (veriopt-worker
-// --lock-probe) observes contention while this process holds the lock and
+// matters for a cross-process primitive: a second *process* (a forked
+// child) observes contention while this process holds the lock and
 // acquisition after it releases.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/FileLock.h"
-
-#include "support/Subprocess.h"
 
 #include "gtest/gtest.h"
 
@@ -18,6 +16,7 @@
 #include <fstream>
 #include <string>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace veriopt {
@@ -146,21 +145,29 @@ TEST(FileLock, SurvivesLockFileUnlinkedMidHold) {
   ASSERT_TRUE(A.lock(F.Path, FileLock::Mode::Exclusive, &Err)) << Err;
 }
 
-/// The cross-process arm: veriopt-worker --lock-probe tries a non-blocking
-/// exclusive flock and exits 0 (acquired) or 7 (contended). flock is
-/// per-open-file-description, so only another process can prove the lock
-/// excludes the rest of the fleet.
+/// The cross-process arm: a forked child tries a non-blocking exclusive
+/// flock and exits 0 (acquired), 7 (contended) or 5 (the attempt failed).
+/// flock is per-open-file-description, so only another process can prove
+/// the lock excludes the rest of the fleet.
 TEST(FileLock, SecondProcessObservesContention) {
   ScratchLock F("xproc");
   auto Probe = [&] {
-    Subprocess P;
-    SubprocessOptions O;
-    O.Argv = {VERIOPT_WORKER_BIN, "--lock-probe", F.Path};
-    O.DeadlineMs = 30000;
-    EXPECT_TRUE(P.spawn(O));
-    SubprocessResult R = P.wait();
-    EXPECT_EQ(R.Outcome, SubprocessOutcome::Exited) << R.describe();
-    return R.ExitCode;
+    const pid_t Pid = ::fork();
+    if (Pid == 0) {
+      FileLock Child;
+      bool Contended = false;
+      if (!Child.tryLock(F.Path, FileLock::Mode::Exclusive, Contended))
+        ::_exit(5);
+      ::_exit(Contended ? 7 : 0); // no atexit handlers, no gtest teardown
+    }
+    if (Pid < 0) {
+      ADD_FAILURE() << "fork failed";
+      return -1;
+    }
+    int Status = 0;
+    EXPECT_EQ(::waitpid(Pid, &Status, 0), Pid);
+    EXPECT_TRUE(WIFEXITED(Status)) << "status " << Status;
+    return WEXITSTATUS(Status);
   };
 
   FileLock L;

@@ -145,6 +145,29 @@ TEST_F(IoEnvTest, FaultyDecisionsAreScheduleIndependent) {
   EXPECT_NE(std::count(A1.begin(), A1.end(), false), 0);
 }
 
+TEST_F(IoEnvTest, AtomicWriteFaultsKeyOnTheDestinationNotTheStagingFile) {
+  // writeFileAtomic stages through "<path>.tmp.<pid>.<seq>", whose pid and
+  // process-wide sequence number differ between runs. Decisions must key
+  // on the destination, so two same-seed envs doing the same writes fail
+  // the same ones — as two worker processes with one seed must.
+  const std::string P = path("result.json");
+  auto outcomes = [&] {
+    FaultInjector FI(42);
+    FI.enable(FaultSite::IoOpen, 0.5);
+    FaultyIoEnv Env(FI);
+    ScopedIoEnv Install(&Env);
+    std::vector<bool> Out;
+    for (int I = 0; I < 32; ++I)
+      Out.push_back(writeFileAtomic(P, "payload"));
+    return Out;
+  };
+  const std::vector<bool> First = outcomes(), Second = outcomes();
+  EXPECT_EQ(First, Second);
+  EXPECT_NE(std::count(First.begin(), First.end(), true), 0);
+  EXPECT_NE(std::count(First.begin(), First.end(), false), 0);
+  EXPECT_TRUE(tempLeftovers().empty()) << tempLeftovers().front();
+}
+
 TEST_F(IoEnvTest, ErrnoShapedFromRealStorageClasses) {
   FaultInjector FI(7);
   FI.enable(FaultSite::IoOpen, 1.0);

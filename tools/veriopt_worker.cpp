@@ -24,9 +24,8 @@
 //   4  shard index not present in the manifest
 //   5  result file could not be written
 //
-// Hidden test hook: --lock-probe PATH tries a non-blocking exclusive
-// flock on PATH and exits 0 (acquired) or 7 (contended) — the two-process
-// arm of FileLockTest.
+// Numeric values are decimal, 0x-hex or 0-octal; anything else (a sign, a
+// trailing character, an out-of-range value) is a usage error.
 //
 // Chaos-test fault injection (all routed through the seeded FaultInjector
 // worker sites so injections are counted and deterministic):
@@ -53,10 +52,11 @@
 #include "pipeline/Evaluation.h"
 #include "store/VerdictStore.h"
 #include "support/AtomicFile.h"
+#include "support/CommandLine.h"
 #include "support/FaultInjector.h"
-#include "support/FileLock.h"
 #include "support/IoEnv.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,69 +95,61 @@ bool contains(const std::vector<unsigned> &V, unsigned X) {
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string ManifestPath, OutDir, StorePath, LockProbePath;
+  std::string ManifestPath, OutDir, StorePath;
   int ShardIdx = -1;
-  unsigned ValidCount = 24, Attempt = 1;
-  uint64_t DatasetSeed = 2026, FaultSeed = 0xFA11;
-  long ChaosIoPct = 0;
-  uint64_t ChaosIoSeed = 0;
+  unsigned ValidCount = 24, Attempt = 1, ChaosIoPct = 0;
+  uint64_t DatasetSeed = 2026, FaultSeed = 0xFA11, ChaosIoSeed = 0;
   bool ChaosIoSeedSet = false;
   std::vector<unsigned> CrashShards, HangShards, CorruptShards, FlakyShards;
 
-  auto intArg = [&](int &I, const char *Name, long &Out) {
+  auto valArg = [&](int &I, const char *Name, const char **Out) {
     if (std::strcmp(argv[I], Name) != 0 || I + 1 >= argc)
       return false;
-    Out = std::atol(argv[++I]);
+    *Out = argv[++I];
+    return true;
+  };
+  auto shardList = [](const char *V, std::vector<unsigned> &List) {
+    unsigned Idx = 0;
+    if (!parseUnsignedArg(V, Idx))
+      return false;
+    List.push_back(Idx);
     return true;
   };
   for (int I = 1; I < argc; ++I) {
-    long V = 0;
-    if (std::strcmp(argv[I], "--manifest") == 0 && I + 1 < argc)
-      ManifestPath = argv[++I];
-    else if (std::strcmp(argv[I], "--out") == 0 && I + 1 < argc)
-      OutDir = argv[++I];
-    else if (std::strcmp(argv[I], "--verdict-store") == 0 && I + 1 < argc)
-      StorePath = argv[++I];
-    else if (std::strcmp(argv[I], "--lock-probe") == 0 && I + 1 < argc)
-      LockProbePath = argv[++I];
-    else if (intArg(I, "--shard", V))
-      ShardIdx = static_cast<int>(V);
-    else if (intArg(I, "--valid-count", V))
-      ValidCount = static_cast<unsigned>(V);
-    else if (intArg(I, "--dataset-seed", V))
-      DatasetSeed = static_cast<uint64_t>(V);
-    else if (intArg(I, "--attempt", V))
-      Attempt = static_cast<unsigned>(V);
-    else if (intArg(I, "--fault-seed", V))
-      FaultSeed = static_cast<uint64_t>(V);
-    else if (intArg(I, "--chaos-io", V))
-      ChaosIoPct = V;
-    else if (intArg(I, "--chaos-io-seed", V)) {
-      ChaosIoSeed = static_cast<uint64_t>(V);
-      ChaosIoSeedSet = true;
-    } else if (intArg(I, "--inject-crash-shard", V))
-      CrashShards.push_back(static_cast<unsigned>(V));
-    else if (intArg(I, "--inject-hang-shard", V))
-      HangShards.push_back(static_cast<unsigned>(V));
-    else if (intArg(I, "--inject-corrupt-result", V))
-      CorruptShards.push_back(static_cast<unsigned>(V));
-    else if (intArg(I, "--inject-flaky-shard", V))
-      FlakyShards.push_back(static_cast<unsigned>(V));
+    const char *V = nullptr;
+    bool Ok = true;
+    if (valArg(I, "--manifest", &V))
+      ManifestPath = V;
+    else if (valArg(I, "--out", &V))
+      OutDir = V;
+    else if (valArg(I, "--verdict-store", &V))
+      StorePath = V;
+    else if (valArg(I, "--shard", &V))
+      Ok = parseUnsignedArg(V, ShardIdx, 0, INT_MAX);
+    else if (valArg(I, "--valid-count", &V))
+      Ok = parseUnsignedArg(V, ValidCount);
+    else if (valArg(I, "--dataset-seed", &V))
+      Ok = parseUnsignedArg(V, DatasetSeed);
+    else if (valArg(I, "--attempt", &V))
+      Ok = parseUnsignedArg(V, Attempt);
+    else if (valArg(I, "--fault-seed", &V))
+      Ok = parseUnsignedArg(V, FaultSeed);
+    else if (valArg(I, "--chaos-io", &V))
+      Ok = parseUnsignedArg(V, ChaosIoPct, 0, 100);
+    else if (valArg(I, "--chaos-io-seed", &V))
+      Ok = ChaosIoSeedSet = parseUnsignedArg(V, ChaosIoSeed);
+    else if (valArg(I, "--inject-crash-shard", &V))
+      Ok = shardList(V, CrashShards);
+    else if (valArg(I, "--inject-hang-shard", &V))
+      Ok = shardList(V, HangShards);
+    else if (valArg(I, "--inject-corrupt-result", &V))
+      Ok = shardList(V, CorruptShards);
+    else if (valArg(I, "--inject-flaky-shard", &V))
+      Ok = shardList(V, FlakyShards);
     else
+      Ok = false;
+    if (!Ok)
       return usage(argv[0]);
-  }
-  if (!LockProbePath.empty()) {
-    // Test hook: report whether an exclusive flock on the path is free.
-    FileLock Probe;
-    bool Contended = false;
-    std::string LErr;
-    if (!Probe.tryLock(LockProbePath, FileLock::Mode::Exclusive, Contended,
-                       &LErr)) {
-      std::fprintf(stderr, "veriopt-worker: lock probe failed: %s\n",
-                   LErr.c_str());
-      return 5;
-    }
-    return Contended ? 7 : 0;
   }
   if (ManifestPath.empty() || OutDir.empty() || ShardIdx < 0)
     return usage(argv[0]);
@@ -211,8 +203,10 @@ int main(int argc, char **argv) {
     IoFaults = std::make_unique<FaultyIoEnv>(*IoFI);
     IoInstall = std::make_unique<ScopedIoEnv>(IoFaults.get());
     std::fprintf(stderr,
-                 "veriopt-worker: chaos-io armed at %ld%% (attempt %u)\n",
-                 ChaosIoPct, Attempt);
+                 "veriopt-worker: chaos-io armed at %u%% (seed 0x%llx, "
+                 "attempt %u)\n",
+                 ChaosIoPct, static_cast<unsigned long long>(Base),
+                 Attempt);
   }
 
   // Chaos faults, routed through the seeded injector sites so they are
