@@ -37,6 +37,7 @@ std::unique_ptr<Sample> buildSample(uint64_t Seed, const std::string &Name,
   S->Reference = Src->clone();
   runReferencePipeline(*S->Reference, &S->RefTrace);
   S->RefText = printFunction(*S->Reference);
+  S->RefTokens = tokenizeIR(S->RefText);
 
   // §IV-A filter: the pair must be formally equivalent.
   VerifyOptions VOpts;

@@ -29,6 +29,7 @@ struct Sample {
                                         ///< callee declarations)
   std::string SrcText; ///< printed -O0 IR
   std::string RefText; ///< printed reference IR
+  std::vector<std::string> RefTokens; ///< tokenizeIR(RefText), for BLEU
   PassTrace RefTrace;  ///< rules the reference pass applied (SFT oracle)
   unsigned TokenCount = 0;
 

@@ -54,13 +54,14 @@ bool loadTraceJsonl(const std::string &Path, TraceLog &Out,
 
 const std::vector<std::string> &knownTraceEventNames() {
   static const std::vector<std::string> Names = {
-      "pipeline.run",     "pipeline.stage", "pipeline.checkpoint",
-      "grpo.step",        "grpo.generate",  "grpo.score",
-      "verify.candidate", "verify.falsify", "verify.encode",
-      "verify.sat",       "verify.tier",    "batch.verify",
-      "eval.run",         "eval.shard",     "eval.driver",
-      "eval.worker",      "store.load",     "store.compact",
-      "opt.rule_fire",    "metric",         "metric.hist",
+      "pipeline.run",      "pipeline.stage", "pipeline.checkpoint",
+      "grpo.step",         "grpo.generate",  "grpo.score",
+      "verify.candidate",  "verify.falsify", "verify.encode",
+      "verify.sat",        "verify.tier",    "verify.path_split",
+      "batch.verify",      "eval.run",       "eval.shard",
+      "eval.driver",       "eval.worker",    "store.load",
+      "store.compact",     "opt.rule_fire",  "metric",
+      "metric.hist",
   };
   return Names;
 }
@@ -93,6 +94,10 @@ const std::map<std::string, std::vector<ArgRule>> &requiredArgs() {
         {"conflicts", JsonValue::Kind::Number},
         {"fuel", JsonValue::Kind::Number}}},
       {"verify.sat", {{"result", JsonValue::Kind::String}}},
+      {"verify.path_split",
+       {{"paths", JsonValue::Kind::Number},
+        {"conflicts", JsonValue::Kind::Number},
+        {"result", JsonValue::Kind::String}}},
       {"batch.verify",
        {{"candidates", JsonValue::Kind::Number},
         {"unique", JsonValue::Kind::Number},

@@ -40,7 +40,7 @@ RewardBreakdown answerReward(const Sample &S, const Completion &C,
     Out.Verify.Diagnostic = "ERROR: completion violates the answer format";
   }
   Out.ExactMatch = Out.Equivalent && C.AnswerIR == S.RefText;
-  Out.Bleu = bleuText(S.RefText, C.AnswerIR);
+  Out.Bleu = bleu(S.RefTokens, tokenizeIR(C.AnswerIR));
 
   double T = Out.FormatOk ? 1.0 : 0.0;
   double A = Out.Equivalent ? 1.0 : 0.0;

@@ -474,6 +474,119 @@ const BVExpr *BVContext::ite(const BVExpr *C, const BVExpr *T,
   return intern(std::move(E));
 }
 
+namespace {
+
+/// The memoized rebuild behind BVContext::simplifyUnder. The memo starts
+/// out holding the guard's conjuncts, so they rewrite to constants.
+class GuardRewriter {
+public:
+  GuardRewriter(BVContext &C, const BVExpr *Guard) : C(C) { assume(Guard); }
+
+  const BVExpr *rewrite(const BVExpr *E) {
+    auto It = Memo.find(E);
+    if (It != Memo.end())
+      return It->second;
+    const BVExpr *Out = rebuild(E);
+    Memo.emplace(E, Out);
+    return Out;
+  }
+
+private:
+  void assume(const BVExpr *G) {
+    if (G->Width == 1 && G->Op == BVOp::And) {
+      assume(G->Ops[0]);
+      assume(G->Ops[1]);
+      return;
+    }
+    if (G->isConst())
+      return;
+    Memo[G] = C.trueVal();
+    if (G->Op == BVOp::Not)
+      Memo[G->Ops[0]] = C.falseVal();
+  }
+
+  const BVExpr *rebuild(const BVExpr *E) {
+    if (E->Ops.empty())
+      return E;
+    if (E->Op == BVOp::ITE) {
+      const BVExpr *Cond = rewrite(E->Ops[0]);
+      if (Cond->isConst())
+        return rewrite(E->Ops[Cond->isTrue() ? 1 : 2]);
+    }
+    std::vector<const BVExpr *> Ops;
+    bool Changed = false;
+    for (const BVExpr *Op : E->Ops) {
+      Ops.push_back(rewrite(Op));
+      Changed |= Ops.back() != Op;
+    }
+    if (!Changed)
+      return E;
+    switch (E->Op) {
+    case BVOp::Const:
+    case BVOp::Var:
+      break;
+    case BVOp::Not:
+      return C.bvnot(Ops[0]);
+    case BVOp::Neg:
+      return C.neg(Ops[0]);
+    case BVOp::Add:
+      return C.add(Ops[0], Ops[1]);
+    case BVOp::Sub:
+      return C.sub(Ops[0], Ops[1]);
+    case BVOp::Mul:
+      return C.mul(Ops[0], Ops[1]);
+    case BVOp::UDiv:
+      return C.udiv(Ops[0], Ops[1]);
+    case BVOp::SDiv:
+      return C.sdiv(Ops[0], Ops[1]);
+    case BVOp::URem:
+      return C.urem(Ops[0], Ops[1]);
+    case BVOp::SRem:
+      return C.srem(Ops[0], Ops[1]);
+    case BVOp::Shl:
+      return C.shl(Ops[0], Ops[1]);
+    case BVOp::LShr:
+      return C.lshr(Ops[0], Ops[1]);
+    case BVOp::AShr:
+      return C.ashr(Ops[0], Ops[1]);
+    case BVOp::And:
+      return C.bvand(Ops[0], Ops[1]);
+    case BVOp::Or:
+      return C.bvor(Ops[0], Ops[1]);
+    case BVOp::Xor:
+      return C.bvxor(Ops[0], Ops[1]);
+    case BVOp::Eq:
+      return C.eq(Ops[0], Ops[1]);
+    case BVOp::Ult:
+      return C.ult(Ops[0], Ops[1]);
+    case BVOp::Slt:
+      return C.slt(Ops[0], Ops[1]);
+    case BVOp::ITE:
+      return C.ite(Ops[0], Ops[1], Ops[2]);
+    case BVOp::ZExt:
+      return C.zext(Ops[0], E->Width);
+    case BVOp::SExt:
+      return C.sext(Ops[0], E->Width);
+    case BVOp::Extract:
+      return C.extract(Ops[0], E->Lo, E->Width);
+    case BVOp::Concat:
+      return C.concat(Ops[0], Ops[1]);
+    }
+    assert(false && "leaf with operands");
+    return E;
+  }
+
+  BVContext &C;
+  std::unordered_map<const BVExpr *, const BVExpr *> Memo;
+};
+
+} // namespace
+
+const BVExpr *BVContext::simplifyUnder(const BVExpr *E, const BVExpr *Guard) {
+  assert(Guard->Width == 1 && "guard must be width 1");
+  return GuardRewriter(*this, Guard).rewrite(E);
+}
+
 APInt64 BVContext::evaluate(
     const BVExpr *E,
     const std::unordered_map<unsigned, APInt64> &Model) const {

@@ -149,6 +149,17 @@ public:
     return or1(not1(A), B);
   }
 
+  //===--- Rewriting ------------------------------------------------------===//
+
+  /// \p E on the inputs where \p Guard holds: each width-1 conjunct of
+  /// Guard becomes true (the operand of a negated conjunct false), an ite
+  /// whose condition that decides keeps only its taken arm, and every other
+  /// node is rebuilt through the constructors above. Terms that differ only
+  /// in conditions the guard decides thereby hash-cons to one node. For
+  /// every model M with evaluate(Guard, M) == 1,
+  /// evaluate(simplifyUnder(E, Guard), M) == evaluate(E, M).
+  const BVExpr *simplifyUnder(const BVExpr *E, const BVExpr *Guard);
+
   /// Number of distinct interned nodes (for the simplification ablation).
   size_t numNodes() const { return Pool.size(); }
 

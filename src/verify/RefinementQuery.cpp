@@ -174,8 +174,9 @@ VerifyResult exhaustedResult(const Function &Src) {
 
 /// The candidate-dependent half of a query, produced by the (locked) build
 /// phase. Every term the SAT/classification phase needs is stashed here so
-/// that phase never interns new nodes — context reads via stable node
-/// pointers are safe concurrently with another candidate's build.
+/// that phase interns new nodes only in the path-split escalation, which
+/// takes the lock again — context reads via stable node pointers are safe
+/// concurrently with another candidate's build.
 struct BuiltQuery {
   FnEncoding TE;
   ExternalWorld World; ///< per-candidate copy of the source world
@@ -188,6 +189,205 @@ struct BuiltQuery {
   const BVExpr *RetT = nullptr; ///< target return term (null for void)
   std::vector<const BVExpr *> ModelTerms;
 };
+
+/// The build phase: replay the source encode's charges, encode the target
+/// into SC.Ctx, and assemble the refinement-violation condition and the
+/// terms the SAT phase reads. Returns false, with \p Out the verdict, when
+/// the query resolves before SAT.
+bool buildQuery(SourceEncoding &SC, const Function &Tgt,
+                const VerifyOptions &Opts, Fuel &F, BuiltQuery &Q,
+                VerifyResult &Out) {
+  const Function &Src = *SC.Src;
+  {
+    TRACE_SPAN("verify.encode");
+    if (!F.replay(SC.EncodeTrace, 0, SC.EncodeTrace.size())) {
+      // A fresh run encodes the source first; once its tank runs dry the
+      // target encoder still charges its first block visit before
+      // noticing. Reproduce that one charge so FuelSpent matches.
+      F.consume(fuel::EncodeBlockVisit);
+      Q.SrcFuelOut = true;
+    } else {
+      Q.World = SC.SrcWorld;
+      EncodeLimits Limits;
+      Limits.MaxPaths = Opts.MaxPaths;
+      Limits.MaxBlockVisitsPerPath = Opts.MaxBlockVisitsPerPath;
+      Limits.MaxStepsPerPath = Opts.MaxStepsPerPath;
+      Limits.FuelTok = &F;
+      Q.TE = encodeFunction(Tgt, SC.Ctx, SC.ArgVars, Q.World, Limits);
+    }
+  }
+
+  if (Q.SrcFuelOut || Q.TE.FuelOut) {
+    Out = exhaustedResult(Src);
+    return false;
+  }
+  if (SC.SE.Unsupported || Q.TE.Unsupported) {
+    Out.Status = VerifyStatus::Inconclusive;
+    Out.Kind = DiagKind::Unsupported;
+    Out.Diagnostic =
+        "Inconclusive: " +
+        (SC.SE.Unsupported ? SC.SE.UnsupportedWhy : Q.TE.UnsupportedWhy) +
+        "\n";
+    return false;
+  }
+
+  // No execution completed within the bound (e.g. the candidate loops
+  // forever): nothing can be claimed, even in bounded mode.
+  if (SC.SE.Paths.empty() || Q.TE.Paths.empty()) {
+    Out.Status = VerifyStatus::Inconclusive;
+    Out.Kind = DiagKind::LoopBound;
+    Out.Diagnostic =
+        "Inconclusive: no execution path completes within the unroll "
+        "bound\n";
+    return false;
+  }
+
+  const FnEncoding &SE = SC.SE;
+  const FnEncoding &TE = Q.TE;
+  BVContext &Ctx = SC.Ctx;
+
+  Q.Truncated = !SE.Truncated->isFalse() || !TE.Truncated->isFalse();
+  if (Q.Truncated && Opts.StrictLoops) {
+    Out.Status = VerifyStatus::Inconclusive;
+    Out.Kind = DiagKind::LoopBound;
+    Out.Diagnostic = "Inconclusive: loop unroll bound reached\n";
+    return false;
+  }
+
+  // Assumption region: inputs where both sides stayed within the unroll
+  // bound (bounded translation validation, as in Alive2).
+  const BVExpr *InBound =
+      Ctx.and1(Ctx.not1(SE.Truncated), Ctx.not1(TE.Truncated));
+
+  // Call-trace matching per (callee, occurrence).
+  const BVExpr *CallMismatch = Ctx.falseVal();
+  {
+    std::map<std::pair<std::string, unsigned>,
+             std::pair<std::vector<const CallRecord *>,
+                       std::vector<const CallRecord *>>>
+        ByKey;
+    for (const CallRecord &Rec : SE.Calls)
+      ByKey[{Rec.Callee, Rec.Index}].first.push_back(&Rec);
+    for (const CallRecord &Rec : TE.Calls)
+      ByKey[{Rec.Callee, Rec.Index}].second.push_back(&Rec);
+    for (auto &[Key, Lists] : ByKey) {
+      const BVExpr *SrcExec = Ctx.falseVal();
+      for (const CallRecord *Rec : Lists.first)
+        SrcExec = Ctx.or1(SrcExec, Rec->Guard);
+      const BVExpr *TgtExec = Ctx.falseVal();
+      for (const CallRecord *Rec : Lists.second)
+        TgtExec = Ctx.or1(TgtExec, Rec->Guard);
+      CallMismatch = Ctx.or1(CallMismatch, Ctx.ne(SrcExec, TgtExec));
+      // Where both execute, arguments must agree.
+      for (const CallRecord *SRec : Lists.first)
+        for (const CallRecord *TRec : Lists.second) {
+          const BVExpr *Both = Ctx.and1(SRec->Guard, TRec->Guard);
+          if (Both->isFalse())
+            continue;
+          const BVExpr *ArgsDiffer = Ctx.falseVal();
+          if (SRec->Args.size() != TRec->Args.size()) {
+            ArgsDiffer = Ctx.trueVal();
+          } else {
+            for (size_t I = 0; I < SRec->Args.size(); ++I)
+              ArgsDiffer = Ctx.or1(
+                  ArgsDiffer, Ctx.ne(SRec->Args[I], TRec->Args[I]));
+          }
+          CallMismatch = Ctx.or1(CallMismatch, Ctx.and1(Both, ArgsDiffer));
+        }
+    }
+  }
+  Q.CallMismatch = CallMismatch;
+
+  // Refinement violation condition.
+  const BVExpr *SrcDefined = Ctx.not1(SE.UB);
+  const BVExpr *Violation = TE.UB;
+  Violation = Ctx.or1(Violation, CallMismatch);
+  const BVExpr *ValueViol = Ctx.falseVal();
+  Q.PoisonViol = Ctx.falseVal();
+  if (!Src.getReturnType()->isVoid()) {
+    Q.RetS = SE.returnTerm(Ctx);
+    Q.RetT = TE.returnTerm(Ctx);
+    const BVExpr *PoisS = SE.returnPoison(Ctx);
+    const BVExpr *PoisT = TE.returnPoison(Ctx);
+    assert(Q.RetS && Q.RetT && "non-void function without return paths");
+    // When the source's return is non-poison, the target must return the
+    // same non-poison value; a poison source return refines to anything.
+    Q.PoisonViol = Ctx.and1(Ctx.not1(PoisS), PoisT);
+    ValueViol = Ctx.and1(Ctx.not1(PoisS),
+                         Ctx.and1(Ctx.not1(PoisT), Ctx.ne(Q.RetS, Q.RetT)));
+    Violation = Ctx.or1(Violation, Ctx.or1(Q.PoisonViol, ValueViol));
+  }
+  Q.Cex = Ctx.and1(InBound, Ctx.and1(SrcDefined, Violation));
+
+  // Extract a model over the arguments AND the external world so the
+  // counterexample classification/rendering evaluates under the same
+  // assignment the SAT solver found.
+  Q.ModelTerms = SC.ArgVars;
+  for (const BVExpr *WV : Q.World.vars())
+    Q.ModelTerms.push_back(WV);
+  return true;
+}
+
+/// Conflicts the plain miter may spend before the query is re-posed in
+/// path-split form (solvePathSplit). The largest query of the `train`
+/// workload needs 2,537, so every verdict and counter there is the plain
+/// miter's; the queries past the cap are the hard tail, where the target
+/// applies one divider to a select of values the source divides per path.
+constexpr uint64_t PathSplitConflicts = 4096;
+
+/// The `result` and `conflicts` args of a span around a solve.
+void recordSat(TraceSpan &Span, const SmtCheck &Res) {
+  Span.arg(TraceArg::ofStr("result", Res.St == SmtCheck::Sat     ? "sat"
+                                     : Res.St == SmtCheck::Unsat ? "unsat"
+                                                                 : "unknown"));
+  Span.arg(TraceArg::ofInt("conflicts", static_cast<int64_t>(Res.Conflicts)));
+}
+
+/// \p Cex re-posed per source path p with condition c_p:
+///   OR_p (c_p & Cex|c_p)  |  (!OR_p c_p & Cex),
+/// where Cex|c_p is BVContext::simplifyUnder(Cex, c_p). The result equals
+/// Cex on every input, so it has the same models; but under each c_p a
+/// target term that merged the source's paths through selects collapses
+/// onto that path's source term, and the two sides of the miter share it.
+const BVExpr *pathSplitMiter(BVContext &Ctx, const FnEncoding &SE,
+                             const BVExpr *Cex) {
+  const BVExpr *Split = Ctx.falseVal();
+  for (const PathOutcome &P : SE.Paths)
+    Split = Ctx.or1(Split, Ctx.and1(P.Cond, Ctx.simplifyUnder(Cex, P.Cond)));
+  return Ctx.or1(Split, Ctx.and1(Ctx.not1(SE.covered(Ctx)), Cex));
+}
+
+/// The escalation phase: solve the path-split form of \p Q.Cex on a fresh
+/// solver with the \p Budget conflicts (0 = unlimited) the plain phase
+/// left. Group members take the build lock around the rewrite, which
+/// interns into the shared context; the fresh solver makes the search the
+/// same in both modes.
+SmtCheck solvePathSplit(SourceEncoding &SC, const BuiltQuery &Q,
+                        uint64_t Budget, Fuel &F, bool Shared) {
+  TraceSpan Span("verify.path_split");
+  const BVExpr *Miter;
+  {
+    std::unique_lock<std::mutex> Lock(SC.BuildMu, std::defer_lock);
+    if (Shared)
+      Lock.lock();
+    Miter = pathSplitMiter(SC.Ctx, SC.SE, Q.Cex);
+  }
+  SmtCheck Res;
+  {
+    TraceSpan SatSpan("verify.sat");
+    Res = checkSat(SC.Ctx, Miter, Q.ModelTerms, Budget, &F);
+    recordSat(SatSpan, Res);
+  }
+  MetricsRegistry &M = MetricsRegistry::global();
+  static Counter &Queries = M.counter("verify.path_split.queries");
+  static Counter &Decided = M.counter("verify.path_split.decided");
+  Queries.inc();
+  if (Res.St != SmtCheck::Unknown)
+    Decided.inc();
+  Span.arg(TraceArg::ofInt("paths", static_cast<int64_t>(SC.SE.Paths.size())));
+  recordSat(Span, Res);
+  return Res;
+}
 
 VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
                                        const VerifyOptions &Opts, Fuel &F,
@@ -227,161 +427,41 @@ VerifyResult verifyAgainstEncodingImpl(SourceEncoding &SC, const Function &Tgt,
     return Out;
   }
 
-  // Build phase: replay the source encode's charges, then encode the
-  // target into the shared context. Mutates the context, so group members
-  // serialize here; interning is structural, so the resulting terms do not
-  // depend on the serialization order.
+  // Build phase. Mutates the context, so group members serialize here;
+  // interning is structural, so the resulting terms do not depend on the
+  // serialization order.
   BuiltQuery Q;
   {
     std::unique_lock<std::mutex> Lock(SC.BuildMu, std::defer_lock);
     if (Shared)
       Lock.lock();
-    {
-      TRACE_SPAN("verify.encode");
-      if (!F.replay(SC.EncodeTrace, 0, SC.EncodeTrace.size())) {
-        // A fresh run encodes the source first; once its tank runs dry the
-        // target encoder still charges its first block visit before
-        // noticing. Reproduce that one charge so FuelSpent matches.
-        F.consume(fuel::EncodeBlockVisit);
-        Q.SrcFuelOut = true;
-      } else {
-        Q.World = SC.SrcWorld;
-        EncodeLimits Limits;
-        Limits.MaxPaths = Opts.MaxPaths;
-        Limits.MaxBlockVisitsPerPath = Opts.MaxBlockVisitsPerPath;
-        Limits.MaxStepsPerPath = Opts.MaxStepsPerPath;
-        Limits.FuelTok = &F;
-        Q.TE = encodeFunction(Tgt, SC.Ctx, SC.ArgVars, Q.World, Limits);
-      }
-    }
-
-    if (Q.SrcFuelOut || Q.TE.FuelOut)
-      return exhaustedResult(Src);
-    if (SC.SE.Unsupported || Q.TE.Unsupported) {
-      Out.Status = VerifyStatus::Inconclusive;
-      Out.Kind = DiagKind::Unsupported;
-      Out.Diagnostic =
-          "Inconclusive: " +
-          (SC.SE.Unsupported ? SC.SE.UnsupportedWhy : Q.TE.UnsupportedWhy) +
-          "\n";
+    if (!buildQuery(SC, Tgt, Opts, F, Q, Out))
       return Out;
-    }
+  } // build lock released; below only the path split interns.
 
-    // No execution completed within the bound (e.g. the candidate loops
-    // forever): nothing can be claimed, even in bounded mode.
-    if (SC.SE.Paths.empty() || Q.TE.Paths.empty()) {
-      Out.Status = VerifyStatus::Inconclusive;
-      Out.Kind = DiagKind::LoopBound;
-      Out.Diagnostic =
-          "Inconclusive: no execution path completes within the unroll "
-          "bound\n";
-      return Out;
-    }
-
-    const FnEncoding &SE = SC.SE;
-    const FnEncoding &TE = Q.TE;
-    BVContext &Ctx = SC.Ctx;
-
-    Q.Truncated = !SE.Truncated->isFalse() || !TE.Truncated->isFalse();
-    if (Q.Truncated && Opts.StrictLoops) {
-      Out.Status = VerifyStatus::Inconclusive;
-      Out.Kind = DiagKind::LoopBound;
-      Out.Diagnostic = "Inconclusive: loop unroll bound reached\n";
-      return Out;
-    }
-
-    // Assumption region: inputs where both sides stayed within the unroll
-    // bound (bounded translation validation, as in Alive2).
-    const BVExpr *InBound =
-        Ctx.and1(Ctx.not1(SE.Truncated), Ctx.not1(TE.Truncated));
-
-    // Call-trace matching per (callee, occurrence).
-    const BVExpr *CallMismatch = Ctx.falseVal();
-    {
-      std::map<std::pair<std::string, unsigned>,
-               std::pair<std::vector<const CallRecord *>,
-                         std::vector<const CallRecord *>>>
-          ByKey;
-      for (const CallRecord &Rec : SE.Calls)
-        ByKey[{Rec.Callee, Rec.Index}].first.push_back(&Rec);
-      for (const CallRecord &Rec : TE.Calls)
-        ByKey[{Rec.Callee, Rec.Index}].second.push_back(&Rec);
-      for (auto &[Key, Lists] : ByKey) {
-        const BVExpr *SrcExec = Ctx.falseVal();
-        for (const CallRecord *Rec : Lists.first)
-          SrcExec = Ctx.or1(SrcExec, Rec->Guard);
-        const BVExpr *TgtExec = Ctx.falseVal();
-        for (const CallRecord *Rec : Lists.second)
-          TgtExec = Ctx.or1(TgtExec, Rec->Guard);
-        CallMismatch = Ctx.or1(CallMismatch, Ctx.ne(SrcExec, TgtExec));
-        // Where both execute, arguments must agree.
-        for (const CallRecord *SRec : Lists.first)
-          for (const CallRecord *TRec : Lists.second) {
-            const BVExpr *Both = Ctx.and1(SRec->Guard, TRec->Guard);
-            if (Both->isFalse())
-              continue;
-            const BVExpr *ArgsDiffer = Ctx.falseVal();
-            if (SRec->Args.size() != TRec->Args.size()) {
-              ArgsDiffer = Ctx.trueVal();
-            } else {
-              for (size_t I = 0; I < SRec->Args.size(); ++I)
-                ArgsDiffer = Ctx.or1(
-                    ArgsDiffer, Ctx.ne(SRec->Args[I], TRec->Args[I]));
-            }
-            CallMismatch = Ctx.or1(CallMismatch, Ctx.and1(Both, ArgsDiffer));
-          }
-      }
-    }
-    Q.CallMismatch = CallMismatch;
-
-    // Refinement violation condition.
-    const BVExpr *SrcDefined = Ctx.not1(SE.UB);
-    const BVExpr *Violation = TE.UB;
-    Violation = Ctx.or1(Violation, CallMismatch);
-    const BVExpr *ValueViol = Ctx.falseVal();
-    Q.PoisonViol = Ctx.falseVal();
-    if (!Src.getReturnType()->isVoid()) {
-      Q.RetS = SE.returnTerm(Ctx);
-      Q.RetT = TE.returnTerm(Ctx);
-      const BVExpr *PoisS = SE.returnPoison(Ctx);
-      const BVExpr *PoisT = TE.returnPoison(Ctx);
-      assert(Q.RetS && Q.RetT && "non-void function without return paths");
-      // When the source's return is non-poison, the target must return the
-      // same non-poison value; a poison source return refines to anything.
-      Q.PoisonViol = Ctx.and1(Ctx.not1(PoisS), PoisT);
-      ValueViol = Ctx.and1(Ctx.not1(PoisS),
-                           Ctx.and1(Ctx.not1(PoisT), Ctx.ne(Q.RetS, Q.RetT)));
-      Violation = Ctx.or1(Violation, Ctx.or1(Q.PoisonViol, ValueViol));
-    }
-    Q.Cex = Ctx.and1(InBound, Ctx.and1(SrcDefined, Violation));
-
-    // Extract a model over the arguments AND the external world so the
-    // counterexample classification/rendering evaluates under the same
-    // assignment the SAT solver found.
-    Q.ModelTerms = SC.ArgVars;
-    for (const BVExpr *WV : Q.World.vars())
-      Q.ModelTerms.push_back(WV);
-  } // build lock released; below only reads the context.
-
+  // The plain miter first, capped at PathSplitConflicts; a budget at or
+  // below the cap is spent on it alone.
+  const uint64_t Budget = Opts.SolverConflictBudget;
+  const bool Capped = Budget == 0 || Budget > PathSplitConflicts;
   SmtCheck Res;
   {
     TraceSpan SatSpan("verify.sat");
+    const uint64_t PlainBudget = Capped ? PathSplitConflicts : Budget;
     if (Q.Cex->isFalse()) {
       Res.St = SmtCheck::Unsat; // checkSat's trivial short-circuit
     } else {
       assert(SC.Prefix && "usable source encoding must carry a CNF prefix");
-      Res = Shared ? SC.Prefix->activate(Q.Cex, Q.ModelTerms,
-                                         Opts.SolverConflictBudget, &F,
+      Res = Shared ? SC.Prefix->activate(Q.Cex, Q.ModelTerms, PlainBudget, &F,
                                          /*CountRetained=*/true)
                    : SC.Prefix->activateInPlace(Q.Cex, Q.ModelTerms,
-                                                Opts.SolverConflictBudget, &F);
+                                                PlainBudget, &F);
     }
-    SatSpan.arg(TraceArg::ofStr("result", Res.St == SmtCheck::Sat ? "sat"
-                                          : Res.St == SmtCheck::Unsat
-                                              ? "unsat"
-                                              : "unknown"));
-    SatSpan.arg(TraceArg::ofInt("conflicts",
-                                static_cast<int64_t>(Res.Conflicts)));
+    recordSat(SatSpan, Res);
+  }
+  if (Res.St == SmtCheck::Unknown && Capped && !F.exhausted()) {
+    const uint64_t Plain = Res.Conflicts;
+    Res = solvePathSplit(SC, Q, Budget == 0 ? 0 : Budget - Plain, F, Shared);
+    Res.Conflicts += Plain;
   }
   Out.SolverConflicts = Res.Conflicts;
 
@@ -546,6 +626,16 @@ VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
   VerifyResult Out = verifyAgainstEncodingImpl(SC, Tgt, Opts, F, Shared);
   Out.FuelSpent = F.spent();
   return Out;
+}
+
+const BVExpr *refinementCondition(SourceEncoding &SC, const Function &Tgt,
+                                  const VerifyOptions &Opts) {
+  if (SC.PointerParams)
+    return nullptr;
+  Fuel F;
+  BuiltQuery Q;
+  VerifyResult Out;
+  return buildQuery(SC, Tgt, Opts, F, Q, Out) ? Q.Cex : nullptr;
 }
 
 static VerifyResult

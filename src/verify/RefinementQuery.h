@@ -21,6 +21,9 @@
 //  - Structural interning: the shared BVContext hash-conses terms purely
 //    structurally, so the terms a candidate builds are independent of which
 //    other candidates built terms before it.
+// A query the plain miter leaves open after a fixed number of conflicts is
+// re-posed per source path (BVContext::simplifyUnder) and solved for the
+// rest of its budget on a fresh solver, in both modes alike.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +94,13 @@ std::unique_ptr<SourceEncoding> buildSourceEncoding(const Function &Src,
 /// in place.
 VerifyResult verifyAgainstEncoding(SourceEncoding &SC, const Function &Tgt,
                                    const VerifyOptions &Opts, bool Shared);
+
+/// The refinement-violation condition (the miter) a SAT query of \p Tgt
+/// against \p SC decides, built into SC.Ctx under unlimited fuel; null when
+/// the query resolves before SAT. For tests of the rewrites the SAT phase
+/// applies to it.
+const BVExpr *refinementCondition(SourceEncoding &SC, const Function &Tgt,
+                                  const VerifyOptions &Opts);
 
 /// Supplies the source half a candidate is verified against: a shared
 /// encoding (group mode), or null for a fresh private one per call.

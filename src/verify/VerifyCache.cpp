@@ -40,11 +40,11 @@ std::string VerifyCache::makeKey(const std::string &SrcText,
   // be served for a higher-tier query (or vice versa) when the retry ladder
   // re-asks the same candidate under a bigger budget.
   std::ostringstream OS;
-  OS << Opts.MaxPaths << '|' << Opts.MaxBlockVisitsPerPath << '|'
-     << Opts.MaxStepsPerPath << '|' << Opts.SolverConflictBudget << '|'
-     << Opts.StrictLoops << '|' << Opts.FalsifyTrials << '|'
-     << Opts.FuelBudget << '|' << Opts.MaxCandidateBytes << '|'
-     << Opts.MaxCandidateInsts;
+  OS << 'e' << SemanticsEpoch << '|' << Opts.MaxPaths << '|'
+     << Opts.MaxBlockVisitsPerPath << '|' << Opts.MaxStepsPerPath << '|'
+     << Opts.SolverConflictBudget << '|' << Opts.StrictLoops << '|'
+     << Opts.FalsifyTrials << '|' << Opts.FuelBudget << '|'
+     << Opts.MaxCandidateBytes << '|' << Opts.MaxCandidateInsts;
   std::string Key = OS.str();
   Key.push_back('\x1f');
   Key += SrcText;

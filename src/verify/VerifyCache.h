@@ -56,9 +56,17 @@ public:
   /// \p Capacity entries before LRU eviction. 0 means "unbounded".
   explicit VerifyCache(size_t Capacity = 4096) : Capacity(Capacity) {}
 
-  /// The cache key for a query: every budget knob, the source text, and the
-  /// candidate's canonical (name-free) reprint — or its raw text when it
-  /// does not parse. \p SrcText must be the printed source.
+  /// The verifier-semantics epoch, the first field of every key. A change
+  /// that makes the same query answer differently (e.g. decide what it used
+  /// to leave Inconclusive) bumps it, so a durable store journaled before
+  /// the change is not served to the verifier after it. Epoch 2: queries
+  /// the plain miter leaves open are re-posed per source path.
+  static constexpr unsigned SemanticsEpoch = 2;
+
+  /// The cache key for a query: the semantics epoch, every budget knob, the
+  /// source text, and the candidate's canonical (name-free) reprint — or
+  /// its raw text when it does not parse. \p SrcText must be the printed
+  /// source.
   static std::string makeKey(const std::string &SrcText, const Candidate &C,
                              const VerifyOptions &Opts);
   /// The same key from raw candidate text (parses it once).

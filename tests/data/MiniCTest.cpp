@@ -99,8 +99,8 @@ TEST_P(PipelineSoundness, OptimizedCodeRefinesSource) {
         << printFunction(*Opt);
 
     auto VR = verifyRefinement(*Src, *Opt);
-    ASSERT_NE(VR.Status, VerifyStatus::NotEquivalent)
-        << (Extended ? "extended" : "reference") << " pipeline broke seed "
+    ASSERT_EQ(VR.Status, VerifyStatus::Equivalent)
+        << (Extended ? "extended" : "reference") << " pipeline, seed "
         << Seed << "\n"
         << VR.Diagnostic << "\nsource:\n"
         << printFunction(*Src) << "\nopt:\n"

@@ -307,11 +307,11 @@ std::string referenceKey(const std::string &SrcText, const std::string &Tgt,
     Canon = printModule(*M.value());
   }
   std::ostringstream OS;
-  OS << Opts.MaxPaths << '|' << Opts.MaxBlockVisitsPerPath << '|'
-     << Opts.MaxStepsPerPath << '|' << Opts.SolverConflictBudget << '|'
-     << Opts.StrictLoops << '|' << Opts.FalsifyTrials << '|'
-     << Opts.FuelBudget << '|' << Opts.MaxCandidateBytes << '|'
-     << Opts.MaxCandidateInsts;
+  OS << 'e' << VerifyCache::SemanticsEpoch << '|' << Opts.MaxPaths << '|'
+     << Opts.MaxBlockVisitsPerPath << '|' << Opts.MaxStepsPerPath << '|'
+     << Opts.SolverConflictBudget << '|' << Opts.StrictLoops << '|'
+     << Opts.FalsifyTrials << '|' << Opts.FuelBudget << '|'
+     << Opts.MaxCandidateBytes << '|' << Opts.MaxCandidateInsts;
   return OS.str() + '\x1f' + SrcText + '\x1f' + Canon;
 }
 

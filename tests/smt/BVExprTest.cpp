@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 
 namespace veriopt {
@@ -491,6 +492,68 @@ TEST(BVExpr, ConstructorFoldsPreserveValue) {
       }
     }
   }
+}
+
+/// The width-1 non-constant subterms of \p E: the ite conditions and
+/// comparisons a path condition over E's inputs would be made of.
+std::vector<const BVExpr *> conditionsOf(const BVExpr *E) {
+  std::vector<const BVExpr *> Out, Stack{E};
+  std::set<const BVExpr *> Seen;
+  while (!Stack.empty()) {
+    const BVExpr *T = Stack.back();
+    Stack.pop_back();
+    if (!Seen.insert(T).second)
+      continue;
+    if (T->Width == 1 && !T->isConst())
+      Out.push_back(T);
+    Stack.insert(Stack.end(), T->Ops.begin(), T->Ops.end());
+  }
+  return Out;
+}
+
+TEST(BVExpr, SimplifyUnderPreservesValueWhereTheGuardHolds) {
+  // The path-split rewrite. Guards are random conjunctions of one to three
+  // atoms, drawn mostly from the term's own conditions (negated half the
+  // time) so the rewrite has something to decide; on every model that
+  // satisfies the guard the rewritten term must evaluate like the term.
+  unsigned Checked = 0, Rewritten = 0;
+  for (unsigned W : {1u, 8u, 16u, 32u, 64u}) {
+    BVContext C;
+    RNG R(0x5117 + W);
+    FoldFuzzer Fuzz(C, R);
+    unsigned Failures = 0;
+    for (int Trial = 0; Trial < 1000 && Failures < 5; ++Trial) {
+      FoldFuzzer::Term T = Fuzz.gen(W, 4);
+      const std::vector<const BVExpr *> Conds = conditionsOf(T.Folded);
+      const BVExpr *Guard = C.trueVal();
+      const unsigned Atoms = 1 + static_cast<unsigned>(R.below(3));
+      for (unsigned I = 0; I < Atoms; ++I) {
+        const BVExpr *A = !Conds.empty() && R.below(4)
+                              ? Conds[R.below(Conds.size())]
+                              : Fuzz.gen(1, 2).Folded;
+        Guard = C.and1(Guard, R.below(2) ? C.not1(A) : A);
+      }
+      const BVExpr *S = C.simplifyUnder(T.Folded, Guard);
+      Rewritten += S != T.Folded;
+      for (int M = 0; M < 24; ++M) {
+        auto Model = Fuzz.model();
+        if (!C.evaluate(Guard, Model).isOne())
+          continue;
+        ++Checked;
+        APInt64 Want = C.evaluate(T.Folded, Model);
+        APInt64 Got = C.evaluate(S, Model);
+        if (Got == Want)
+          continue;
+        ++Failures;
+        ADD_FAILURE() << "simplifyUnder changed the value of " << show(*T.Ref)
+                      << " under a guard of " << Atoms << " atoms: got "
+                      << Got.zext() << ", want " << Want.zext();
+        break;
+      }
+    }
+  }
+  EXPECT_GT(Rewritten, 500u) << "guards rarely decided anything";
+  EXPECT_GT(Checked, 10000u) << "guards were rarely satisfied";
 }
 
 } // namespace

@@ -511,6 +511,44 @@ TEST(VerdictStore, CacheWritesBehindAndReadsThrough) {
   EXPECT_EQ(St->stats().Hits, 1u);
 }
 
+TEST(VerdictStore, RecordsFromAnEarlierEpochAreNotServed) {
+  // A journal from before the last semantics change may hold budget-typed
+  // Inconclusives the verifier now decides. Its keys lack the current
+  // epoch field, so such a record must be recomputed, never served; the
+  // same record under the current key is served (the control).
+  IrFixture Fx;
+  VerifyOptions Opts;
+  const std::string Key = VerifyCache::makeKey(SrcIR, GoodTgt, Opts);
+  const std::string Epoch =
+      "e" + std::to_string(VerifyCache::SemanticsEpoch) + "|";
+  ASSERT_EQ(Key.rfind(Epoch, 0), 0u) << "the key leads with its epoch";
+  VerifyResult Stale;
+  Stale.Status = VerifyStatus::Inconclusive;
+  Stale.Kind = DiagKind::SolverTimeout;
+  Stale.Diagnostic = "Inconclusive: SMT solver budget exhausted\n";
+  Stale.SolverConflicts = Opts.SolverConflictBudget;
+  ASSERT_TRUE(VerdictStore::eligible(Stale));
+
+  for (bool Current : {false, true}) {
+    ScratchFile F(Current ? "epoch-current" : "epoch-old");
+    F.write(journalOf({{Current ? Key : Key.substr(Epoch.size()), Stale}}));
+    auto St = VerdictStore::open(F.Path);
+    ASSERT_TRUE(St);
+    EXPECT_EQ(St->stats().LiveAtOpen, 1u);
+    VerifyCache Cache;
+    Cache.setBackingStore(St.get());
+    VerifyResult R = cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
+    if (Current) {
+      expectSameResult(R, Stale);
+      EXPECT_EQ(St->stats().Hits, 1u);
+    } else {
+      EXPECT_EQ(R.Status, VerifyStatus::Equivalent);
+      EXPECT_EQ(St->stats().Hits, 0u);
+      EXPECT_EQ(St->stats().Writes, 1u);
+    }
+  }
+}
+
 TEST(VerdictStore, GroupVerifierReadsThroughStore) {
   IrFixture Fx;
   ScratchFile F("group");

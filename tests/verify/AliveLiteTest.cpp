@@ -3,8 +3,14 @@
 #include "verify/AliveLite.h"
 
 #include "ir/Parser.h"
+#include "verify/RefinementQuery.h"
+
+#include "HardTail.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 namespace veriopt {
 namespace {
@@ -487,6 +493,65 @@ TEST(AliveLite, DiagnosticTextShape) {
                   "define i32 @f(i32 %x) {\n  ret i32 %x\n}\n");
   EXPECT_NE(Ok.Diagnostic.find("Transformation seems to be correct!"),
             std::string::npos);
+}
+
+TEST(AliveLite, PathSplitRewritePreservesHardTailMiters) {
+  // The rewrite behind the path-split escalation, on the miters it exists
+  // for. On inputs that take source path p, BVContext::simplifyUnder(T,
+  // c_p) must evaluate like T, for the miter and for every select, udiv
+  // and urem in it (the miter itself is 0 everywhere on these sound pairs).
+  for (uint64_t Seed : {1004u, 1034u}) {
+    HardTailPair P(Seed);
+    auto TM = parseOk(P.OptText);
+    VerifyOptions Opts;
+    auto SC = buildSourceEncoding(*P.Src, Opts);
+    BVContext &Ctx = SC->Ctx;
+    const BVExpr *Cex = refinementCondition(*SC, *TM->getMainFunction(), Opts);
+    ASSERT_TRUE(Cex) << "seed " << Seed;
+
+    std::vector<const BVExpr *> Terms{Cex};
+    std::set<const BVExpr *> Seen;
+    std::vector<const BVExpr *> Stack{Cex};
+    while (!Stack.empty()) {
+      const BVExpr *E = Stack.back();
+      Stack.pop_back();
+      if (!Seen.insert(E).second)
+        continue;
+      if (E->Op == BVOp::ITE || E->Op == BVOp::UDiv || E->Op == BVOp::URem)
+        Terms.push_back(E);
+      Stack.insert(Stack.end(), E->Ops.begin(), E->Ops.end());
+    }
+
+    std::map<std::pair<size_t, const BVExpr *>, const BVExpr *> Rewritten;
+    std::set<size_t> PathsTaken;
+    unsigned Checked = 0, Changed = 0;
+    RNG R(Seed);
+    for (int Trial = 0; Trial < 200; ++Trial) {
+      // Small values half the time, so equality branches are taken too.
+      std::unordered_map<unsigned, APInt64> M;
+      for (const BVExpr *V : SC->ArgVars)
+        M[V->VarId] = APInt64(V->Width, R.below(2) ? R.below(4) : R.next());
+      for (size_t I = 0; I < SC->SE.Paths.size(); ++I) {
+        const BVExpr *Cond = SC->SE.Paths[I].Cond;
+        if (!Ctx.evaluate(Cond, M).isOne())
+          continue;
+        PathsTaken.insert(I);
+        for (const BVExpr *T : Terms) {
+          const BVExpr *&S = Rewritten[{I, T}];
+          if (!S) {
+            S = Ctx.simplifyUnder(T, Cond);
+            Changed += S != T;
+          }
+          ++Checked;
+          ASSERT_EQ(Ctx.evaluate(S, M), Ctx.evaluate(T, M))
+              << "seed " << Seed << ", source path " << I;
+        }
+      }
+    }
+    EXPECT_GE(PathsTaken.size(), 2u) << "seed " << Seed;
+    EXPECT_GT(Changed, 0u) << "seed " << Seed << ": the rewrite did nothing";
+    EXPECT_GT(Checked, 1000u) << "seed " << Seed;
+  }
 }
 
 } // namespace

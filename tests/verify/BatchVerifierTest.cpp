@@ -15,6 +15,7 @@
 #include "trace/Metrics.h"
 
 #include "Golden.h"
+#include "HardTail.h"
 
 #include <gtest/gtest.h>
 
@@ -204,6 +205,54 @@ TEST(BatchVerifier, EscalatingLadderMatchesSequential) {
   O.Cache = &Cache;
   auto Got = groupVerdicts(O, Src, mulGroup());
   expectIdentical(Got, Want);
+  Delta.expectGolden();
+}
+
+TEST(BatchVerifier, PathSplitRefutesAndMatchesSequential) {
+  // The hard tail through the escalation phase, falsification off: the
+  // sound seed-1034 target and a wrong one that differs only at
+  // %p0 = 77, %p2 = 123457 both pass the plain miter's 4,096-conflict cap.
+  // The path-split miter must prove the first and refute the second with
+  // a counterexample the interpreter reproduces, bit-identically in group
+  // mode at 1 and 4 threads.
+  HardTailPair P(1034);
+  const std::string Ret = "  ret i64 %16\n";
+  std::string Wrong = P.OptText;
+  ASSERT_NE(Wrong.find(Ret), std::string::npos) << P.OptText;
+  Wrong.replace(Wrong.find(Ret), Ret.size(),
+                "  %w0 = icmp eq i64 %p0, 77\n"
+                "  %w2 = icmp eq i64 %p2, 123457\n"
+                "  %w = and i1 %w0, %w2\n"
+                "  %v = select i1 %w, i64 7, i64 %16\n"
+                "  ret i64 %v\n");
+  const std::vector<std::string> Texts = {P.OptText, Wrong};
+  Parsed Src(P.SrcText);
+  MetricsDelta Delta;
+  LadderOptions O;
+  O.Base.FalsifyTrials = 0;
+  O.MaxTiers = 1;
+  auto Want = sequentialOracle(Src, Texts, O);
+
+  EXPECT_EQ(Want[0].Status, VerifyStatus::Equivalent) << Want[0].Diagnostic;
+  EXPECT_GT(Want[0].SolverConflicts, 4096u);
+  ASSERT_EQ(Want[1].Status, VerifyStatus::NotEquivalent) << Want[1].Diagnostic;
+  EXPECT_EQ(Want[1].Kind, DiagKind::ValueMismatch);
+  EXPECT_GT(Want[1].SolverConflicts, 4096u);
+  std::vector<APInt64> Args;
+  for (const CexBinding &B : Want[1].Counterexample)
+    Args.push_back(B.Value);
+  Parsed Tgt(Wrong);
+  ExecResult SR = interpret(*Src.F, Args), TR = interpret(*Tgt.F, Args);
+  ASSERT_EQ(SR.St, ExecResult::Ok);
+  ASSERT_EQ(TR.St, ExecResult::Ok);
+  EXPECT_NE(SR.RetVal, TR.RetVal) << Want[1].Diagnostic;
+
+  for (unsigned Threads : {1u, 4u}) {
+    ThreadPool Pool(Threads);
+    VerifyCache Cache(256);
+    O.Cache = &Cache;
+    expectIdentical(groupVerdicts(O, Src, Texts, &Pool), Want);
+  }
   Delta.expectGolden();
 }
 
