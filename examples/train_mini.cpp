@@ -132,11 +132,7 @@ int main(int argc, char **argv) {
   std::unique_ptr<ScopedIoEnv> IoInstall;
   if (ChaosIoPct > 0) {
     IoFI = std::make_unique<FaultInjector>(ChaosIoSeed);
-    const double Rate = static_cast<double>(ChaosIoPct) / 100.0;
-    for (FaultSite S : {FaultSite::IoOpen, FaultSite::IoWrite,
-                        FaultSite::IoShortWrite, FaultSite::IoFsync,
-                        FaultSite::IoRename, FaultSite::IoFlock})
-      IoFI->enable(S, Rate);
+    armIoFaults(*IoFI, static_cast<double>(ChaosIoPct) / 100.0);
     IoFaults = std::make_unique<FaultyIoEnv>(*IoFI);
     IoFaults->exemptSuffix(".jsonl");
     IoFaults->exemptSuffix(".stream");

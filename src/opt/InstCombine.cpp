@@ -16,7 +16,6 @@
 #include "opt/Pass.h"
 
 #include "trace/Metrics.h"
-#include "trace/Trace.h"
 
 #include <algorithm>
 #include <deque>
@@ -62,21 +61,13 @@ bool rangesOverlap(int64_t AOff, unsigned ASize, int64_t BOff,
          BOff < AOff + static_cast<int64_t>(ASize);
 }
 
-/// Bulk-publish one run's rule-fire tallies: per-rule process-wide metric
-/// counters plus (when tracing) one "opt.rule_fire" counter event per rule.
-/// Aggregating locally first keeps the per-fire hot path to one map bump.
+/// Bulk-publish one run's rule-fire tallies to the per-rule process-wide
+/// counters. Aggregating locally first keeps the per-fire hot path to one
+/// map bump.
 void flushRuleFires(const std::map<const char *, uint64_t> &Fires) {
-  if (Fires.empty())
-    return;
   MetricsRegistry &M = MetricsRegistry::global();
-  TraceRecorder &R = TraceRecorder::instance();
-  for (const auto &[Rule, N] : Fires) {
+  for (const auto &[Rule, N] : Fires)
     M.counter(std::string("opt.rule_fire.") + Rule).inc(N);
-    if (R.enabled())
-      R.counter("opt.rule_fire",
-                {TraceArg::ofStr("rule", Rule),
-                 TraceArg::ofInt("count", static_cast<int64_t>(N))});
-  }
 }
 
 class InstCombine : public Pass {

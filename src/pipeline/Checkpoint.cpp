@@ -86,24 +86,7 @@ bool readActions(std::istream &IS, std::vector<unsigned> &A) {
 
 } // namespace
 
-bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
-                    FaultInjector *Faults, unsigned Attempt) {
-  // Injected write failure: deterministic in the checkpoint's position
-  // within the run, so interrupted-vs-uninterrupted comparisons inject at
-  // the same checkpoints. Retries (Attempt >= 2) salt the key so each
-  // attempt decides independently; the first attempt's key is unchanged so
-  // non-retrying callers keep their historical injection pattern.
-  if (Faults) {
-    std::string Key = std::to_string(CP.StageIdx) + ':' +
-                      std::to_string(CP.Stage1Log.size()) + ':' +
-                      std::to_string(CP.Stage2Log.size()) + ':' +
-                      std::to_string(CP.Stage3Log.size());
-    if (Attempt >= 2)
-      Key += ":retry" + std::to_string(Attempt);
-    if (Faults->shouldInject(FaultSite::CheckpointWrite, Key))
-      return false;
-  }
-
+bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP) {
   std::ostringstream OS;
   OS << "veriopt-ckpt " << CP.Version << '\n';
   OS << "seed " << CP.Seed << '\n';

@@ -18,7 +18,6 @@
 #define VERIOPT_PIPELINE_CHECKPOINT_H
 
 #include "rl/Trainer.h"
-#include "support/FaultInjector.h"
 
 #include <string>
 #include <vector>
@@ -58,15 +57,10 @@ struct PipelineCheckpoint {
 };
 
 /// Atomically write \p CP to \p Path (via "<path>.tmp" + rename). Returns
-/// false on I/O failure — or when \p Faults fires the CheckpointWrite site
-/// for this checkpoint's (stage, step) key, which simulates a full disk /
-/// crash mid-save. Callers must treat false as "previous checkpoint still
-/// stands" and keep training. \p Attempt (1-based) salts the injection key
-/// for retries *after the first*, so a retrying caller sees an independent
-/// fault decision per attempt while single-attempt callers keep the
-/// historical per-checkpoint pattern.
-bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP,
-                    FaultInjector *Faults = nullptr, unsigned Attempt = 1);
+/// false on I/O failure (a full disk, a crash mid-save, or a fault the
+/// installed IoEnv injects). Callers must treat false as "previous
+/// checkpoint still stands" and keep training.
+bool saveCheckpoint(const std::string &Path, const PipelineCheckpoint &CP);
 
 /// Load \p Path into \p CP. Returns false (leaving \p CP untouched) when
 /// the file is missing, truncated, or not a compatible checkpoint — another

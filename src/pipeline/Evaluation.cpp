@@ -123,9 +123,9 @@ SampleEval evaluateCandidate(const Sample &S, const Completion &C,
     VR = Verify(S, *Answer);
     if (VR.equivalent()) {
       // An Equivalent verdict for an answer with no parsed function (a
-      // lying or fault-injected verifier, or parser/verifier drift) must
-      // not be trusted: classify as Inconclusive with a distinct diagnostic
-      // and keep the -O0 fallback.
+      // lying verifier, or parser/verifier drift) must not be trusted:
+      // classify as Inconclusive with a distinct diagnostic and keep the
+      // -O0 fallback.
       OutF = Answer->function();
       if (!OutF) {
         VR = VerifyResult();
@@ -218,14 +218,11 @@ EvalVerifier::EvalVerifier(const VerifyOptions &VOpts,
     OwnedCache = std::make_unique<VerifyCache>();
     C = OwnedCache.get();
   }
-  if (EOpts.Faults)
-    C->setFaultInjector(EOpts.Faults);
   if (EOpts.VerdictTier)
     C->setBackingStore(EOpts.VerdictTier);
   Ladder.Base = VOpts;
   Ladder.MaxTiers = 1; // evaluation runs one fixed budget, no ladder
   Ladder.Cache = C;
-  Ladder.Faults = EOpts.Faults;
 }
 
 VerifyResult EvalVerifier::verify(const Sample &S,

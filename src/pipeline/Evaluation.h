@@ -163,9 +163,6 @@ struct EvalOptions {
   /// deterministic and the store admits only deterministic verdicts — see
   /// docs/PERSISTENCE.md). Caller owns; must outlive the evaluation.
   VerdictBackingTier *VerdictTier = nullptr;
-  /// Optional deterministic fault injection: the ladder's oracle-budget /
-  /// verdict-flip sites and the cache's cache-miss site.
-  FaultInjector *Faults = nullptr;
 };
 
 /// Deterministic contiguous partition of \p N samples into \p Shards
@@ -176,7 +173,7 @@ std::vector<EvalShard> planEvalShards(size_t N, unsigned Shards);
 /// The verifier evaluation runs: each greedy answer is a group of one for
 /// the group verifier (one shared-encoding ladder at a single fixed budget,
 /// no retries, no per-request telemetry) through a verify cache with the
-/// options' verdict store and fault injector attached.
+/// options' verdict store attached.
 /// evaluateModelSharded and the multi-process worker both build it here.
 class EvalVerifier {
 public:

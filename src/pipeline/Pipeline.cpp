@@ -149,11 +149,8 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   // (the cache key carries the budget, so sharing across stages is sound).
   ThreadPool Pool(Opts.Threads);
   VerifyCache Cache;
-  if (Opts.Faults)
-    Cache.setFaultInjector(Opts.Faults);
   // Durable tier under the memo: warm-store training replays verdicts
-  // instead of recomputing them, bit-identically (the cache bypasses the
-  // tier while a fault injector is attached — see docs/PERSISTENCE.md).
+  // instead of recomputing them, bit-identically.
   if (Opts.VerdictTier)
     Cache.setBackingStore(Opts.VerdictTier);
 
@@ -164,7 +161,6 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
   GBase.Pool = &Pool;
   GBase.Verify.MaxTiers = std::max(1u, GBase.Verify.MaxTiers);
   GBase.Verify.Cache = &Cache;
-  GBase.Verify.Faults = Opts.Faults;
 
   //===--- Resume --------------------------------------------------------===//
 
@@ -230,7 +226,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
       return;
     // Retry with the eval driver's deterministic capped-backoff law (no
     // clock, no randomness in the delay): transient write failures — a
-    // briefly full disk, an injected fault — cost a few milliseconds, not
+    // briefly full disk, an I/O fault — cost a few milliseconds, not
     // a checkpoint. A write that still fails after every attempt is
     // telemetry (the previous checkpoint stands) and training continues on
     // the identical trajectory.
@@ -251,7 +247,7 @@ PipelineArtifacts runTrainingPipeline(const Dataset &DS,
         Retries.inc();
       }
       Attempts = A;
-      Ok = saveCheckpoint(Opts.CheckpointPath, Snap, Opts.Faults, A);
+      Ok = saveCheckpoint(Opts.CheckpointPath, Snap);
     }
     if (Ok)
       Written.inc();

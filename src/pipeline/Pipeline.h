@@ -44,9 +44,9 @@ struct PipelineOptions {
 
   /// Shared settings of the three GRPO stages and of the stage-2 warm-up
   /// SFT. The pipeline owns GRPO.{Mode, Seed, TraceLabel, Pool,
-  /// Verify.Cache, Verify.Faults} and SFT.Seed and sets them per stage;
-  /// every other field is the caller's. GRPO.Verify is the training
-  /// verification ladder (see the constructor for its budget).
+  /// Verify.Cache} and SFT.Seed and sets them per stage; every other field
+  /// is the caller's. GRPO.Verify is the training verification ladder (see
+  /// the constructor for its budget).
   GRPOOptions GRPO;
   SFTOptions SFT;
   uint64_t Seed = 2026;
@@ -74,16 +74,11 @@ struct PipelineOptions {
   /// Halted = true. 0 = run to completion.
   unsigned HaltAfterSteps = 0;
 
-  /// Optional deterministic fault injection (oracle budget exhaustion,
-  /// verdict flips, cache misses, checkpoint-write failures). Null = off.
-  FaultInjector *Faults = nullptr;
-
   /// Optional durable verdict tier (the persistent VerdictStore, opened by
   /// the caller from e.g. train_mini's --verdict-store flag) attached under
   /// the run's shared VerifyCache and propagated to evaluation. Warm-store
   /// runs are bit-identical to cold ones — only the verification work is
-  /// skipped. While Faults is set the cache bypasses the tier entirely, so
-  /// chaos runs neither read nor warm the store.
+  /// skipped.
   VerdictBackingTier *VerdictTier = nullptr;
 
   //===--- Sharded evaluation -------------------------------------------===//
@@ -102,13 +97,12 @@ struct PipelineOptions {
     SFT.LearningRate = 0.05;
   }
 
-  /// EvalOptions matching this pipeline configuration (shards, fault
-  /// injection, verdict store). \p Pool may be null for inline evaluation.
+  /// EvalOptions matching this pipeline configuration (shards, verdict
+  /// store). \p Pool may be null for inline evaluation.
   EvalOptions makeEvalOptions(ThreadPool *Pool = nullptr) const {
     EvalOptions EO;
     EO.Shards = EvalShards;
     EO.Pool = Pool;
-    EO.Faults = Faults;
     EO.VerdictTier = VerdictTier;
     return EO;
   }

@@ -297,7 +297,7 @@ std::string renderRunReport(const RunSummary &S, unsigned TopN) {
   //--- InstCombine rule fires -----------------------------------------------
   OS << "-- instcombine rule fires ----------------------------------------\n";
   if (S.RuleFires.empty()) {
-    OS << "no opt.rule_fire events in this trace\n";
+    OS << "no opt.rule_fire.* metrics in this trace\n";
   } else {
     std::vector<std::pair<std::string, uint64_t>> Rows(S.RuleFires.begin(),
                                                        S.RuleFires.end());

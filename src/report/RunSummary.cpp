@@ -181,9 +181,11 @@ RunSummary aggregateRun(const TraceLog &Log) {
     } else if (N == "eval.worker") {
       ++S.WorkerOutcomes[argStr(E, "outcome")];
     } else if (N == "metric") {
-      S.Metrics[argStr(E, "key")] = argNum(E, "value");
-    } else if (N == "opt.rule_fire") {
-      S.RuleFires[argStr(E, "rule")] += argU64(E, "count");
+      const std::string Key = argStr(E, "key");
+      S.Metrics[Key] = argNum(E, "value");
+      static const std::string RuleFire = "opt.rule_fire.";
+      if (Key.compare(0, RuleFire.size(), RuleFire) == 0)
+        S.RuleFires[Key.substr(RuleFire.size())] = argU64(E, "value");
     }
   }
 

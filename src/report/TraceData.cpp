@@ -60,8 +60,7 @@ const std::vector<std::string> &knownTraceEventNames() {
       "verify.sat",        "verify.tier",    "verify.path_split",
       "batch.verify",      "eval.run",       "eval.shard",
       "eval.driver",       "eval.worker",    "store.load",
-      "store.compact",     "opt.rule_fire",  "metric",
-      "metric.hist",
+      "store.compact",     "metric",         "metric.hist",
   };
   return Names;
 }
@@ -132,9 +131,6 @@ const std::map<std::string, std::vector<ArgRule>> &requiredArgs() {
       {"store.compact",
        {{"before", JsonValue::Kind::Number},
         {"after", JsonValue::Kind::Number}}},
-      {"opt.rule_fire",
-       {{"rule", JsonValue::Kind::String},
-        {"count", JsonValue::Kind::Number}}},
       {"metric",
        {{"key", JsonValue::Kind::String},
         {"value", JsonValue::Kind::Number}}},

@@ -73,10 +73,10 @@ struct GRPOOptions {
   /// the trained model and the log's reward/equivalence values are
   /// bit-identical at any pool width.
   ThreadPool *Pool = nullptr;
-  /// The retry ladder each prompt group is verified through (budgets,
-  /// optional cache and fault injector). Every answer that passes the
-  /// format gate, and every think-attempt in augmented mode, is verified
-  /// exactly once per step, before scoring.
+  /// The retry ladder each prompt group is verified through (budgets and
+  /// optional cache). Every answer that passes the format gate, and every
+  /// think-attempt in augmented mode, is verified exactly once per step,
+  /// before scoring.
   LadderOptions Verify;
   /// Optional sequential observer of every scored rollout.
   RolloutHook OnRollout;

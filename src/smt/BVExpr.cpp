@@ -40,18 +40,21 @@ const BVExpr *BVContext::intern(BVExpr E) {
   for (const BVExpr *Op : E.Ops)
     put(reinterpret_cast<uint64_t>(Op));
 
-  // CSE accounting: a hit means a structurally identical term already
-  // exists in this context, so its circuit is shared instead of re-emitted.
-  // Totals are schedule-independent: hits = interning requests - distinct
-  // structures, and both sides depend only on what was built, not on order.
+  // CSE accounting: a hit means a structurally identical operator term
+  // already exists in this context, so its circuit is shared instead of
+  // re-emitted. Constant lookups are not sharing and never count as hits.
+  // Totals are schedule-independent: they depend only on what was built,
+  // not on order.
   static Counter &Hits = MetricsRegistry::global().counter("encode.cse_hits");
   static Counter &Misses =
       MetricsRegistry::global().counter("encode.cse_misses");
 
   auto It = Interned.find(Key);
   if (It != Interned.end()) {
-    ++CseHits;
-    Hits.inc();
+    if (E.Op != BVOp::Const) {
+      ++CseHits;
+      Hits.inc();
+    }
     return It->second;
   }
   Pool.push_back(std::move(E));

@@ -163,10 +163,11 @@ public:
   /// Number of distinct interned nodes (for the simplification ablation).
   size_t numNodes() const { return Pool.size(); }
 
-  /// Hash-consing efficacy: interning requests that found an existing
-  /// structurally identical node vs. ones that allocated a new node. When a
-  /// group of candidates shares one context, cross-candidate hits measure
-  /// how much of the encoding was emitted once and reused.
+  /// Hash-consing efficacy: operator-term requests that found an existing
+  /// structurally identical node (constant lookups excluded) vs. interning
+  /// requests that allocated a new node. When a group of candidates shares
+  /// one context, cross-candidate hits measure how much of the encoding was
+  /// emitted once and reused.
   uint64_t cseHits() const { return CseHits; }
   uint64_t cseMisses() const { return CseMisses; }
 

@@ -34,8 +34,7 @@
 // — Equivalent, NotEquivalent (falsified), SyntaxError, and *budget-typed*
 // Inconclusive (SolverTimeout / ResourceExhausted / LoopBound /
 // Unsupported, whose outcome is a pure function of the budget captured in
-// the key). Fault-injected results never reach the store: VerifyCache
-// bypasses the backing tier entirely while an injector is attached.
+// the key).
 //
 //===----------------------------------------------------------------------===//
 

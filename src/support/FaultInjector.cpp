@@ -8,14 +8,6 @@ namespace veriopt {
 
 const char *faultSiteName(FaultSite S) {
   switch (S) {
-  case FaultSite::OracleBudget:
-    return "oracle-budget";
-  case FaultSite::VerdictFlip:
-    return "verdict-flip";
-  case FaultSite::CacheMiss:
-    return "cache-miss";
-  case FaultSite::CheckpointWrite:
-    return "checkpoint-write";
   case FaultSite::WorkerCrash:
     return "worker-crash";
   case FaultSite::WorkerHang:

@@ -77,7 +77,9 @@ void FileLock::unlock() {
     return;
   // Closing the descriptor releases the flock; no explicit LOCK_UN needed
   // (and the kernel does the same on crash, which is the recovery story).
-  ::close(Fd);
+  // The close goes through the env that opened it, so a FaultyIoEnv stops
+  // attributing this descriptor number to the lock file.
+  IoEnv::current()->close(Fd);
   Fd = -1;
   LockPath.clear();
 }

@@ -216,6 +216,13 @@ int FaultyIoEnv::flock(int Fd, int Op) {
   return IoEnv::flock(Fd, Op);
 }
 
+void armIoFaults(FaultInjector &FI, double Rate) {
+  for (FaultSite S : {FaultSite::IoOpen, FaultSite::IoWrite,
+                      FaultSite::IoShortWrite, FaultSite::IoFsync,
+                      FaultSite::IoRename, FaultSite::IoFlock})
+    FI.enable(S, Rate);
+}
+
 //===--- RecordingIoEnv --------------------------------------------------------//
 
 int RecordingIoEnv::open(const char *Path, int Flags, mode_t Mode) {

@@ -136,6 +136,10 @@ private:
   std::vector<std::string> Exempt;
 };
 
+/// Arm all six Io* sites of \p FI at probability \p Rate: the whole-disk
+/// chaos the --chaos-io flags and the checkpoint fault tests run under.
+void armIoFaults(FaultInjector &FI, double Rate);
+
 /// Passthrough environment that records the full syscall sequence. The
 /// crash-consistency fuzzer replays Ops truncated at every index.
 class RecordingIoEnv : public IoEnv {

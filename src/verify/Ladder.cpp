@@ -41,42 +41,22 @@ LadderOutcome runLadder(const LadderOptions &L, const std::string &SrcText,
                         const Function &Src, const Candidate &C,
                         const EncodingProvider &GetSC) {
   LadderOutcome Out;
-  // Fault keys are content-derived, so injection decisions are identical
-  // for identical queries regardless of thread schedule or arrival order.
-  const std::string FaultKey = SrcText + '\x1f' + C.Text;
-
   const unsigned MaxTiers = L.MaxTiers ? L.MaxTiers : 1;
   uint64_t TotalConflicts = 0, TotalFuel = 0;
   VerifyResult Final;
   for (unsigned Tier = 0; Tier < MaxTiers; ++Tier) {
-    VerifyResult R;
-    bool Injected = false;
-    if (Tier == 0 && L.Faults &&
-        L.Faults->shouldInject(FaultSite::OracleBudget, FaultKey)) {
-      // Simulated oracle budget exhaustion: the first attempt reports
-      // ResourceExhausted without running (and without touching the cache),
-      // and the ladder must recover by escalating exactly as it would for
-      // a genuinely hard candidate.
-      R.Status = VerifyStatus::Inconclusive;
-      R.Kind = DiagKind::ResourceExhausted;
-      R.Diagnostic = "Inconclusive: injected oracle budget exhaustion\n";
-      Injected = true;
-      Out.FaultInjected = true;
-    } else {
-      const VerifyOptions TierOpts = L.tierOptions(Tier);
-      auto Compute = [&] {
-        return verifyCandidateOn(GetSC, Src, C, TierOpts);
-      };
-      bool Computed = true;
-      R = L.Cache ? L.Cache->lookupOrCompute(
-                        VerifyCache::makeKey(SrcText, C, TierOpts), Compute,
-                        &Computed)
-                  : Compute();
-      ++(Computed ? Out.Computed : Out.CacheHits);
-    }
+    const VerifyOptions TierOpts = L.tierOptions(Tier);
+    auto Compute = [&] { return verifyCandidateOn(GetSC, Src, C, TierOpts); };
+    bool Computed = true;
+    VerifyResult R =
+        L.Cache ? L.Cache->lookupOrCompute(
+                      VerifyCache::makeKey(SrcText, C, TierOpts), Compute,
+                      &Computed)
+                : Compute();
+    ++(Computed ? Out.Computed : Out.CacheHits);
 
-    Out.Tiers.push_back({Tier, R.Status, R.Kind, R.SolverConflicts,
-                         R.FuelSpent, Injected});
+    Out.Tiers.push_back(
+        {Tier, R.Status, R.Kind, R.SolverConflicts, R.FuelSpent});
     TotalConflicts += R.SolverConflicts;
     TotalFuel += R.FuelSpent;
     Final = std::move(R);
@@ -85,24 +65,6 @@ LadderOutcome runLadder(const LadderOptions &L, const std::string &SrcText,
       break;
   }
   Out.Escalated = Out.Tiers.size() > 1;
-
-  // Simulated oracle bug: flip a definitive verdict. The trainer must
-  // tolerate occasional wrong rewards with bounded impact (GRPO's group
-  // baseline absorbs them); this site lets tests prove that.
-  if (L.Faults && (Final.Status == VerifyStatus::Equivalent ||
-                   Final.Status == VerifyStatus::NotEquivalent) &&
-      L.Faults->shouldInject(FaultSite::VerdictFlip, FaultKey)) {
-    Out.FaultInjected = true;
-    if (Final.Status == VerifyStatus::Equivalent) {
-      Final.Status = VerifyStatus::NotEquivalent;
-      Final.Kind = DiagKind::ValueMismatch;
-    } else {
-      Final.Status = VerifyStatus::Equivalent;
-      Final.Kind = DiagKind::None;
-      Final.Counterexample.clear();
-    }
-    Final.Diagnostic += "(injected verdict flip)\n";
-  }
 
   Final.SolverConflicts = TotalConflicts;
   Final.FuelSpent = TotalFuel;
@@ -119,8 +81,7 @@ void recordLadderTelemetry(const LadderOutcome &O) {
                 TraceArg::ofStr("diag", diagKindName(T.Kind)),
                 TraceArg::ofInt("conflicts",
                                 static_cast<int64_t>(T.SolverConflicts)),
-                TraceArg::ofInt("fuel", static_cast<int64_t>(T.FuelSpent)),
-                TraceArg::ofBool("injected", T.Injected)});
+                TraceArg::ofInt("fuel", static_cast<int64_t>(T.FuelSpent))});
 
   MetricsRegistry &Reg = MetricsRegistry::global();
   static Counter &MQueries = Reg.counter("verify.retry.queries");
@@ -129,8 +90,6 @@ void recordLadderTelemetry(const LadderOutcome &O) {
   static Counter &MTerminal =
       Reg.counter("verify.retry.terminal_inconclusive");
   MQueries.inc();
-  // A verdict flip only swaps definitive verdicts, so the final result
-  // still tells whether the ladder ran out of budget.
   const bool Terminal = LadderOptions::retryable(O.Result);
   if (O.Escalated)
     MEscalations.inc();
@@ -157,15 +116,13 @@ verifyGroup(const LadderOptions &L, const std::string &SrcText,
 
   // Canonical dedupe: GRPO's small action space makes byte- or
   // renaming-identical candidates common within a group; they share every
-  // per-tier cache key, so one ladder serves all of them. Fault sites key on
-  // the raw text, so under injection only byte-identical candidates share.
+  // per-tier cache key, so one ladder serves all of them.
   std::vector<size_t> UniqueOf(Cands.size());
   std::vector<const Candidate *> Unique;
   {
     std::unordered_map<std::string_view, size_t> Seen;
     for (size_t I = 0; I < Cands.size(); ++I) {
-      const std::string &Key = L.Faults ? Cands[I]->Text : Cands[I]->Canon;
-      auto [It, Inserted] = Seen.emplace(Key, Unique.size());
+      auto [It, Inserted] = Seen.emplace(Cands[I]->Canon, Unique.size());
       if (Inserted)
         Unique.push_back(Cands[I]);
       UniqueOf[I] = It->second;

@@ -15,18 +15,16 @@
 // Both are bit-identical in every verdict field (RefinementQuery.h).
 //
 // Every decision is deterministic: tier budgets derive from the base
-// options alone, retries are triggered by verdict kinds (never wall clock),
-// and the optional fault injector is a pure hash of (seed, site, key). Each
-// rung is one VerifyCache lookup (the budget knobs are part of the key), so
-// a ladder replayed from the cache reports the same per-tier outcomes and
-// summed SolverConflicts as the run that computed it.
+// options alone and retries are triggered by verdict kinds (never wall
+// clock). Each rung is one VerifyCache lookup (the budget knobs are part of
+// the key), so a ladder replayed from the cache reports the same per-tier
+// outcomes and summed SolverConflicts as the run that computed it.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef VERIOPT_VERIFY_LADDER_H
 #define VERIOPT_VERIFY_LADDER_H
 
-#include "support/FaultInjector.h"
 #include "verify/RefinementQuery.h"
 #include "verify/VerifyCache.h"
 
@@ -43,7 +41,6 @@ struct RetryTierOutcome {
   DiagKind Kind = DiagKind::None;
   uint64_t SolverConflicts = 0;
   uint64_t FuelSpent = 0;
-  bool Injected = false; ///< this tier's verdict came from a fault site
 };
 
 struct LadderOptions {
@@ -57,9 +54,6 @@ struct LadderOptions {
   uint64_t BudgetGrowth = 4;
   /// Optional per-rung memo (and, through it, the durable verdict store).
   VerifyCache *Cache = nullptr;
-  /// Optional deterministic faults: tier-0 oracle budget exhaustion and
-  /// verdict flips, keyed on (source, candidate) content.
-  FaultInjector *Faults = nullptr;
 
   /// Options for rung \p Tier.
   VerifyOptions tierOptions(unsigned Tier) const;
@@ -78,14 +72,13 @@ struct LadderOutcome {
   /// so per-step telemetry reflects total verification work.
   VerifyResult Result;
   std::vector<RetryTierOutcome> Tiers; ///< one entry per rung run
-  bool Escalated = false;     ///< more than one rung was needed
-  bool FaultInjected = false; ///< any fault site fired for this query
-  unsigned CacheHits = 0;     ///< rungs served by the cache
-  unsigned Computed = 0;      ///< rungs verified by this call
+  bool Escalated = false; ///< more than one rung was needed
+  unsigned CacheHits = 0; ///< rungs served by the cache
+  unsigned Computed = 0;  ///< rungs verified by this call
 };
 
 /// Run the ladder for \p C against \p Src (\p SrcText is its printed form,
-/// the stable cache/fault key) over the encodings \p GetSC provides. Emits
+/// the stable cache key) over the encodings \p GetSC provides. Emits
 /// no verify.tier / verify.retry.* telemetry: that is recorded once per
 /// verification request, by the caller (recordLadderTelemetry).
 LadderOutcome runLadder(const LadderOptions &L, const std::string &SrcText,

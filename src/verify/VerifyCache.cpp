@@ -66,26 +66,6 @@ VerifyCache::lookupOrCompute(const std::string &Key,
   if (Computed)
     *Computed = false;
 
-  // Injected cache miss: bypass the memo entirely (no lookup, no store, no
-  // single-flight). Deterministic per key, so every thread asking for this
-  // key takes the same path. Verification itself is deterministic, so the
-  // result is unchanged — only the work is repeated.
-  FaultInjector *FI;
-  {
-    std::lock_guard<std::mutex> L(M);
-    FI = Faults;
-  }
-  if (FI && FI->shouldInject(FaultSite::CacheMiss, Key)) {
-    {
-      std::lock_guard<std::mutex> L(M);
-      ++Stats.Misses;
-    }
-    missCounter().inc();
-    if (Computed)
-      *Computed = true;
-    return Compute();
-  }
-
   std::shared_ptr<InFlight> Slot;
   bool Owner = false;
   VerdictBackingTier *Tier;
@@ -124,18 +104,16 @@ VerifyCache::lookupOrCompute(const std::string &Key,
   // paying for verification (joiners still block on this thread's slot, so
   // a store hit satisfies the whole flight with one disk-index lookup).
   // Verification is deterministic and the store only admits deterministic
-  // verdicts, so a stored result is bit-identical to recomputing. Skipped
-  // entirely under fault injection (trust model: chaos runs neither read
-  // nor warm the store).
+  // verdicts, so a stored result is bit-identical to recomputing.
   VerifyResult Result;
-  bool FromStore = Tier && !FI && Tier->lookup(Key, Result);
+  bool FromStore = Tier && Tier->lookup(Key, Result);
   if (!FromStore) {
     Result = Compute();
     if (Computed)
       *Computed = true;
     // Write-behind: report the fresh verdict; the tier buffers and batches
     // its own journal appends, so this is an in-memory append here.
-    if (Tier && !FI)
+    if (Tier)
       Tier->put(Key, Result);
   }
 

@@ -21,7 +21,6 @@
 #ifndef VERIOPT_VERIFY_VERIFYCACHE_H
 #define VERIOPT_VERIFY_VERIFYCACHE_H
 
-#include "support/FaultInjector.h"
 #include "verify/AliveLite.h"
 
 #include <condition_variable>
@@ -96,20 +95,6 @@ public:
   size_t size() const;
   void clear();
 
-  /// Optional deterministic fault injection: when set and the CacheMiss site
-  /// fires for a key, both the lookup and the store are skipped — the entry
-  /// behaves as if evicted. Used by the fault-tolerance tests to prove the
-  /// trainer's results do not depend on cache residency.
-  ///
-  /// Trust-model consequence (docs/PERSISTENCE.md): while an injector is
-  /// attached, the backing store is bypassed entirely — no probes, no
-  /// write-behind — so chaos runs neither warm the durable store nor read
-  /// warmth the injected-miss scenario is supposed to deny.
-  void setFaultInjector(FaultInjector *FI) {
-    std::lock_guard<std::mutex> L(M);
-    Faults = FI;
-  }
-
   /// Attach a durable tier under the memo (null detaches). Read-through on
   /// owner misses, write-behind on computed verdicts; single-flight is
   /// preserved (the owning thread probes the store, joiners still wait on
@@ -137,7 +122,6 @@ private:
   std::unordered_map<std::string, LRUList::iterator> Index;
   std::map<std::string, std::shared_ptr<InFlight>> Pending;
   Counters Stats;
-  FaultInjector *Faults = nullptr;
   VerdictBackingTier *Store = nullptr;
 };
 

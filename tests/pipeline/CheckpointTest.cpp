@@ -3,6 +3,7 @@
 #include "pipeline/Checkpoint.h"
 
 #include "model/Policy.h"
+#include "support/IoEnv.h"
 #include "trace/Json.h"
 
 #include <gtest/gtest.h>
@@ -246,35 +247,21 @@ TEST(Checkpoint, InjectedWriteFailureLeavesPreviousCheckpoint) {
   ASSERT_TRUE(saveCheckpoint(Path, CP));
 
   FaultInjector FI(11);
-  FI.enable(FaultSite::CheckpointWrite, 1.0);
+  armIoFaults(FI, 1.0);
+  FaultyIoEnv Env(FI);
   PipelineCheckpoint Next = CP;
   Next.StageIdx = 2;
-  EXPECT_FALSE(saveCheckpoint(Path, Next, &FI));
-  EXPECT_GT(FI.counters().injected(FaultSite::CheckpointWrite), 0u);
+  {
+    ScopedIoEnv Install(&Env);
+    EXPECT_FALSE(saveCheckpoint(Path, Next));
+  }
+  EXPECT_GT(FI.counters().totalInjected(), 0u);
 
   // The previous checkpoint still stands, bit for bit.
   PipelineCheckpoint L;
   ASSERT_TRUE(loadCheckpoint(Path, L));
   EXPECT_EQ(L.StageIdx, CP.StageIdx);
   std::remove(Path.c_str());
-}
-
-TEST(Checkpoint, WriteFailureKeyIsPositional) {
-  // The CheckpointWrite fault key depends on the checkpoint's position in
-  // the run (stage + per-stage progress), so an interrupted run and an
-  // uninterrupted run inject at the same checkpoints.
-  FaultInjector A(7), B(7);
-  A.enable(FaultSite::CheckpointWrite, 0.5);
-  B.enable(FaultSite::CheckpointWrite, 0.5);
-  const std::string PA = scratchPath("poskeyA"), PB = scratchPath("poskeyB");
-  PipelineCheckpoint CP = makeRichCheckpoint();
-  for (unsigned Step = 0; Step < 16; ++Step) {
-    CP.Stage1Log.resize(Step);
-    EXPECT_EQ(saveCheckpoint(PA, CP, &A), saveCheckpoint(PB, CP, &B))
-        << "step " << Step;
-  }
-  std::remove(PA.c_str());
-  std::remove(PB.c_str());
 }
 
 } // namespace

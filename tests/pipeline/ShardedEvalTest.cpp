@@ -3,13 +3,12 @@
 // The contract under test: evaluateModelSharded() is bit-identical to the
 // serial oracle evaluateModel() at any shard/thread count, with a private
 // or a shared warm cache; shards serialize losslessly; and the merge tolerates
-// fault-injected, Inconclusive-heavy shards.
+// budget-starved, Inconclusive-heavy shards.
 //
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/Evaluation.h"
 
-#include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
 #include "trace/Metrics.h"
 
@@ -180,19 +179,19 @@ TEST(ShardedEval, ZeroShardsMeansOnePerPoolThread) {
 
 TEST(ShardedEval, MergeToleratesInconclusiveHeavyShard) {
   RewritePolicyModel Base(presetQwen3B());
-  // Arm the oracle-budget fault site hard: many samples collapse to
-  // Inconclusive, concentrated wherever their shard lands. The merge must
+  // Starve every query of fuel: many samples run out of budget and collapse
+  // to Inconclusive, concentrated wherever their shard lands. The merge must
   // keep counts consistent and every aggregate finite.
-  FaultInjector FI(0xFA11);
-  FI.enable(FaultSite::OracleBudget, 0.8);
+  VerifyOptions Starved;
+  Starved.FuelBudget = 256;
 
   ThreadPool Pool(3);
   EvalOptions EO;
   EO.Shards = 3;
   EO.Pool = &Pool;
-  EO.Faults = &FI;
   EvalResult R = evaluateModelSharded(Base, ds().Valid, PromptMode::Generic,
-                                      VerifyOptions(), EO);
+                                      Starved, EO);
+  EXPECT_GT(R.Taxonomy.Inconclusive, 0u);
   EXPECT_EQ(R.Taxonomy.Total, ds().Valid.size());
   EXPECT_EQ(R.Taxonomy.Correct + R.Taxonomy.SemanticError +
                 R.Taxonomy.SyntaxError + R.Taxonomy.Inconclusive,
@@ -206,12 +205,12 @@ TEST(ShardedEval, MergeToleratesInconclusiveHeavyShard) {
       EXPECT_TRUE(E.UsedFallback);
     }
 
-  // Fault decisions are pure (seed, site, key) hashes, so the faulted run
-  // is itself deterministic across shard counts.
+  // Fuel is counted work, never a clock, so the starved run is itself
+  // deterministic across shard counts.
   EvalOptions EO1 = EO;
   EO1.Shards = 1;
   EvalResult R1 = evaluateModelSharded(Base, ds().Valid, PromptMode::Generic,
-                                       VerifyOptions(), EO1);
+                                       Starved, EO1);
   expectResultEq(R, R1);
 }
 

@@ -181,10 +181,8 @@ std::string syntheticRun() {
   Metric(15, "store.compactions", 1);
   Metric(16, "store.quarantined", 2);
 
-  OS << R"({"name":"opt.rule_fire","ph":"C","ts_ns":0,"tid":4,"seq":0,"args":{"rule":"dce","count":21}})"
-     << "\n";
-  OS << R"({"name":"opt.rule_fire","ph":"C","ts_ns":0,"tid":4,"seq":1,"args":{"rule":"const-fold","count":34}})"
-     << "\n";
+  Metric(17, "opt.rule_fire.dce", 21);
+  Metric(18, "opt.rule_fire.const-fold", 34);
 
   // A sharded evaluation: one eval.run wrapping two eval.shard spans
   // (deliberately emitted out of shard order — the report must sort).

@@ -4,12 +4,14 @@
 
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "support/FaultInjector.h"
 #include "trace/Metrics.h"
 
 #include "Golden.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
 
@@ -166,6 +168,71 @@ TEST(Trainer, ParallelScoringIsBitIdenticalToSerial) {
             Serial.back().EMAReward);
   Delta.pin("grpo.ema_reward", Serial.back().EMAReward);
   Delta.expectGolden();
+}
+
+TEST(Trainer, ToleratesFlippedVerdicts) {
+  // A lying oracle: the reward sees about 5 % of definitive answer verdicts
+  // inverted, chosen by a hash of (source, answer) so the lie is the same
+  // at any thread count. Training must complete every step, and the
+  // trajectory must stay bit-identical at 1 and 4 pool threads.
+  const Dataset &DS = tinyDataset();
+  const unsigned Steps = 12;
+  std::atomic<unsigned> Flips{0};
+  RewardFn Lying = [&](const Sample &S, const Completion &C,
+                       const RolloutVerdicts &V) {
+    RolloutVerdicts Flipped = V;
+    VerifyResult &R = Flipped.AnswerVerify;
+    const bool Definitive = R.Status == VerifyStatus::Equivalent ||
+                            R.Status == VerifyStatus::NotEquivalent;
+    if (Definitive &&
+        FaultInjector::hashKey(S.SrcText + '\x1f' + C.AnswerIR) % 20 == 0) {
+      ++Flips;
+      if (R.Status == VerifyStatus::Equivalent) {
+        R.Status = VerifyStatus::NotEquivalent;
+        R.Kind = DiagKind::ValueMismatch;
+      } else {
+        R.Status = VerifyStatus::Equivalent;
+        R.Kind = DiagKind::None;
+        R.Counterexample.clear();
+      }
+    }
+    return eq1Score(S, C, Flipped);
+  };
+
+  auto runConfig = [&](unsigned Threads, std::vector<double> &ParamsOut) {
+    RewritePolicyModel Model(presetQwen3B());
+    ThreadPool Pool(Threads);
+    GRPOOptions G;
+    G.GroupSize = 6;
+    G.PromptsPerStep = 3;
+    G.Seed = 7;
+    G.Pool = &Pool;
+    G.Verify.Base.FalsifyTrials = 8;
+    G.Verify.Base.SolverConflictBudget = 20000;
+    G.Verify.MaxTiers = 1;
+    GRPOTrainer Trainer(Model, Lying, G);
+    auto Logs = Trainer.train(DS.Train, Steps);
+    ParamsOut = Model.params();
+    return Logs;
+  };
+
+  std::vector<double> SerialParams, ParallelParams;
+  auto Serial = runConfig(1, SerialParams);
+  const unsigned SerialFlips = Flips.exchange(0);
+  auto Parallel = runConfig(4, ParallelParams);
+
+  ASSERT_EQ(Serial.size(), Steps);
+  ASSERT_EQ(Parallel.size(), Steps);
+  EXPECT_GT(SerialFlips, 0u) << "no verdict was ever flipped";
+  EXPECT_EQ(Flips.load(), SerialFlips);
+  for (size_t I = 0; I < Steps; ++I) {
+    EXPECT_EQ(Serial[I].MeanReward, Parallel[I].MeanReward) << "step " << I;
+    EXPECT_EQ(Serial[I].EMAReward, Parallel[I].EMAReward) << "step " << I;
+    EXPECT_EQ(Serial[I].EquivalentRate, Parallel[I].EquivalentRate);
+    EXPECT_EQ(Serial[I].CopyRate, Parallel[I].CopyRate);
+    EXPECT_EQ(Serial[I].GradNorm, Parallel[I].GradNorm) << "step " << I;
+  }
+  EXPECT_EQ(SerialParams, ParallelParams);
 }
 
 TEST(Trainer, BatchVerificationIsBitIdenticalToSequential) {

@@ -16,7 +16,6 @@
 #include "ir/Parser.h"
 #include "model/Policy.h"
 #include "pipeline/Evaluation.h"
-#include "support/FaultInjector.h"
 #include "support/IoEnv.h"
 #include "support/ThreadPool.h"
 #include "trace/Metrics.h"
@@ -576,30 +575,6 @@ TEST(VerdictStore, GroupVerifierReadsThroughStore) {
   EXPECT_EQ(St->stats().Hits, 1u);
   EXPECT_EQ(St->stats().Writes, 0u);
   EXPECT_EQ(Outs[0].Result.Status, VerifyStatus::Equivalent);
-}
-
-TEST(VerdictStore, FaultInjectorBypassesStoreEntirely) {
-  IrFixture Fx;
-  VerifyOptions Opts;
-  ScratchFile F("faults");
-  {
-    // Warm the store honestly first.
-    auto St = VerdictStore::open(F.Path);
-    ASSERT_TRUE(St);
-    VerifyCache Cache;
-    Cache.setBackingStore(St.get());
-    cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
-  }
-  auto St = VerdictStore::open(F.Path);
-  ASSERT_TRUE(St);
-  FaultInjector FI(42); // attached but no sites armed — still untrusted
-  VerifyCache Cache;
-  Cache.setBackingStore(St.get());
-  Cache.setFaultInjector(&FI);
-  cachedVerify(Cache, *Fx.Src, GoodTgt, Opts);
-  cachedVerify(Cache, *Fx.Src, BadTgt, Opts);
-  EXPECT_EQ(St->stats().Hits, 0u);   // no reads while chaos is possible
-  EXPECT_EQ(St->stats().Writes, 0u); // and nothing journaled
 }
 
 //===--- End-to-end bit-identity ---------------------------------------------===//

@@ -272,9 +272,7 @@ TEST_F(IoEnvTest, ExemptSuffixSparesWholeAtomicWrite) {
   // it must, including the ".tmp.<pid>.<seq>" staging file its payload is
   // actually written through.
   FaultInjector FI(19);
-  arm(FI, {FaultSite::IoOpen, FaultSite::IoWrite, FaultSite::IoShortWrite,
-           FaultSite::IoFsync, FaultSite::IoRename, FaultSite::IoFlock},
-      1.0);
+  armIoFaults(FI, 1.0);
   FaultyIoEnv Env(FI);
   Env.exemptSuffix(".jsonl");
   ScopedIoEnv Install(&Env);
@@ -282,6 +280,25 @@ TEST_F(IoEnvTest, ExemptSuffixSparesWholeAtomicWrite) {
   ASSERT_TRUE(writeFileAtomic(path("gate.jsonl"), "events\n"));
   EXPECT_EQ(slurp(path("gate.jsonl")), "events\n");
   EXPECT_FALSE(writeFileAtomic(path("gate.bin"), "x"));
+}
+
+TEST_F(IoEnvTest, ReleasedLockFdDoesNotFaultTheNextFileOnIt) {
+  // Unlocking closes the lock file through the env, so the env forgets its
+  // descriptor. The next file opened on that descriptor number — here an
+  // exempt one — must not inherit the lock file's write and fsync faults.
+  FaultInjector FI(29);
+  FI.enable(FaultSite::IoWrite, 1.0);
+  FI.enable(FaultSite::IoFsync, 1.0);
+  FaultyIoEnv Env(FI);
+  Env.exemptSuffix(".jsonl");
+  ScopedIoEnv Install(&Env);
+
+  {
+    FileLock L;
+    ASSERT_TRUE(L.lock(path("run.lock"), FileLock::Mode::Exclusive));
+  }
+  ASSERT_TRUE(writeFileAtomic(path("trace.jsonl"), "events\n"));
+  EXPECT_EQ(slurp(path("trace.jsonl")), "events\n");
 }
 
 TEST_F(IoEnvTest, ForeignFdsPassThrough) {

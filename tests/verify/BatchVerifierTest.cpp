@@ -4,7 +4,7 @@
 // for every candidate, verdict, diagnostic kind and text, counterexample,
 // summed solver conflicts, fuel spent, and retry tier must equal what the
 // fresh-encoding front door (verifyWithLadder) produces — at any thread
-// count, under fault injection, and with arbitrary cache-hit interleavings.
+// count, under starved budgets, and with arbitrary cache-hit interleavings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,10 +78,8 @@ std::vector<std::string> mulGroup() {
 /// The oracle: the cacheless fresh-encoding ladder per candidate.
 std::vector<VerifyResult> sequentialOracle(const Parsed &Src,
                                            const std::vector<std::string> &Ts,
-                                           LadderOptions O,
-                                           FaultInjector *FI = nullptr) {
+                                           LadderOptions O) {
   O.Cache = nullptr;
-  O.Faults = FI;
   std::vector<VerifyResult> Out;
   for (const std::string &T : Ts)
     Out.push_back(verifyWithLadder(O, Src.Text, *Src.F, T).Result);
@@ -322,61 +320,6 @@ TEST(BatchVerifier, CacheHitInterleavingsStayIdentical) {
   auto Again = groupVerdicts(O, Src, Group, nullptr, &AgainCounts);
   expectIdentical(Again, Want);
   EXPECT_EQ(AgainCounts.Computed, 0u);
-}
-
-TEST(BatchVerifier, OracleBudgetFaultMirrorsSequential) {
-  Parsed Src(AddSrc);
-  LadderOptions O = defaultLadder();
-  FaultInjector FIa(5), FIb(5);
-  FIa.enable(FaultSite::OracleBudget, 0.5);
-  FIb.enable(FaultSite::OracleBudget, 0.5);
-  auto Want = sequentialOracle(Src, addGroup(), O, &FIa);
-
-  VerifyCache Cache(256);
-  O.Cache = &Cache;
-  O.Faults = &FIb;
-  auto Got = groupVerdicts(O, Src, addGroup());
-  expectIdentical(Got, Want);
-  // At 50% some queries must actually have been injected (seed-dependent
-  // but deterministic; guards against the fault site silently not firing).
-  EXPECT_GT(FIb.counters().injected(FaultSite::OracleBudget), 0u);
-}
-
-TEST(BatchVerifier, VerdictFlipFaultMirrorsSequential) {
-  Parsed Src(AddSrc);
-  LadderOptions O = defaultLadder();
-  FaultInjector FIa(7), FIb(7);
-  FIa.enable(FaultSite::VerdictFlip, 1.0);
-  FIb.enable(FaultSite::VerdictFlip, 1.0);
-  auto Want = sequentialOracle(Src, addGroup(), O, &FIa);
-
-  VerifyCache Cache(256);
-  O.Cache = &Cache;
-  O.Faults = &FIb;
-  auto Got = groupVerdicts(O, Src, addGroup());
-  expectIdentical(Got, Want);
-  EXPECT_GT(FIb.counters().injected(FaultSite::VerdictFlip), 0u);
-}
-
-TEST(BatchVerifier, InjectedCacheMissesDoNotChangeVerdicts) {
-  Parsed Src(AddSrc);
-  LadderOptions O = defaultLadder();
-  auto Want = sequentialOracle(Src, addGroup(), O);
-
-  FaultInjector FI(11);
-  FI.enable(FaultSite::CacheMiss, 0.5);
-  VerifyCache Cache(256);
-  Cache.setFaultInjector(&FI);
-  O.Cache = &Cache;
-  O.Faults = &FI;
-  auto Got = groupVerdicts(O, Src, addGroup());
-  expectIdentical(Got, Want);
-  EXPECT_GT(FI.counters().injected(FaultSite::CacheMiss), 0u);
-  // And the poisoned cache still replays correct verdicts sequentially.
-  std::vector<std::string> Group = addGroup();
-  for (size_t I = 0; I < Group.size(); ++I)
-    EXPECT_EQ(verifyWithLadder(O, Src.Text, *Src.F, Group[I]).Result.Status,
-              Want[I].Status);
 }
 
 TEST(BatchVerifier, PointerSourceStaysInconclusive) {

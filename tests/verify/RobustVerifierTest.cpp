@@ -220,57 +220,6 @@ TEST(RobustVerifier, CacheHitReplaysIdenticalTelemetry) {
   EXPECT_EQ(Replay.Escalated, Fresh.Escalated);
 }
 
-TEST(RobustVerifier, OracleBudgetFaultForcesEscalationAndRecovers) {
-  Parsed Src(SimpleSrc);
-  FaultInjector FI(5);
-  FI.enable(FaultSite::OracleBudget, 1.0);
-  LadderOptions O;
-  O.MaxTiers = 3;
-  O.Faults = &FI;
-  RetryCounters Before = RetryCounters::now();
-  auto Out = verifyWithLadder(O, Src.Text, *Src.F, SimpleSrc);
-  ASSERT_GE(Out.Tiers.size(), 2u);
-  EXPECT_TRUE(Out.Tiers[0].Injected);
-  EXPECT_EQ(Out.Tiers[0].Kind, DiagKind::ResourceExhausted);
-  EXPECT_EQ(Out.Tiers[0].SolverConflicts, 0u);
-  EXPECT_FALSE(Out.Tiers[1].Injected);
-  EXPECT_EQ(Out.Result.Status, VerifyStatus::Equivalent);
-  EXPECT_TRUE(Out.FaultInjected);
-  EXPECT_EQ(FI.counters().injected(FaultSite::OracleBudget), 1u);
-  EXPECT_EQ(RetryCounters::now().since(Before).Rescued, 1u);
-}
-
-TEST(RobustVerifier, VerdictFlipFaultFlipsDefinitiveVerdicts) {
-  Parsed Src(SimpleSrc);
-  FaultInjector FI(5);
-  FI.enable(FaultSite::VerdictFlip, 1.0);
-  LadderOptions O;
-  O.Faults = &FI;
-
-  auto Eq = verifyWithLadder(O, Src.Text, *Src.F, SimpleSrc);
-  EXPECT_EQ(Eq.Result.Status, VerifyStatus::NotEquivalent);
-  EXPECT_TRUE(Eq.FaultInjected);
-  EXPECT_NE(Eq.Result.Diagnostic.find("injected verdict flip"),
-            std::string::npos);
-
-  auto Ne = verifyWithLadder(O, Src.Text, *Src.F, WrongTgt);
-  EXPECT_EQ(Ne.Result.Status, VerifyStatus::Equivalent);
-  EXPECT_TRUE(Ne.Result.Counterexample.empty());
-  EXPECT_EQ(FI.counters().injected(FaultSite::VerdictFlip), 2u);
-}
-
-TEST(RobustVerifier, InconclusiveVerdictsAreNeverFlipped) {
-  Parsed Src("define i32 @f(ptr %p) {\n  ret i32 0\n}\n");
-  FaultInjector FI(5);
-  FI.enable(FaultSite::VerdictFlip, 1.0);
-  LadderOptions O;
-  O.Faults = &FI;
-  auto Out = verifyWithLadder(O, Src.Text, *Src.F, Src.Text);
-  EXPECT_EQ(Out.Result.Status, VerifyStatus::Inconclusive);
-  EXPECT_FALSE(Out.FaultInjected);
-  EXPECT_EQ(FI.counters().injected(FaultSite::VerdictFlip), 0u);
-}
-
 TEST(RobustVerifier, DeterministicAcrossInstancesAndRepeats) {
   Parsed Src(MulSrc);
   LadderOptions O;

@@ -195,11 +195,7 @@ int main(int argc, char **argv) {
     const uint64_t Base = ChaosIoSeedSet ? ChaosIoSeed : FaultSeed;
     IoFI = std::make_unique<FaultInjector>(
         Base + 0x9e3779b97f4a7c15ULL * Attempt);
-    const double Rate = static_cast<double>(ChaosIoPct) / 100.0;
-    for (FaultSite S : {FaultSite::IoOpen, FaultSite::IoWrite,
-                        FaultSite::IoShortWrite, FaultSite::IoFsync,
-                        FaultSite::IoRename, FaultSite::IoFlock})
-      IoFI->enable(S, Rate);
+    armIoFaults(*IoFI, static_cast<double>(ChaosIoPct) / 100.0);
     IoFaults = std::make_unique<FaultyIoEnv>(*IoFI);
     IoInstall = std::make_unique<ScopedIoEnv>(IoFaults.get());
     std::fprintf(stderr,
